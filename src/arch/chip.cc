@@ -395,30 +395,53 @@ Chip::probeArrived(unsigned bank_id, unsigned cluster_id, ProbeType type,
         });
 }
 
-std::uint32_t
-Chip::coherentRead32(mem::Addr a)
+std::array<cache::Line *, mem::wordsPerLine>
+Chip::newestCopies(mem::Addr base, mem::WordMask want)
 {
-    mem::Addr base = mem::lineBase(a);
-    mem::WordMask bit = mem::wordBit(a);
-
-    // A dirty word in any L2 is the newest value.
-    for (auto &cl : _clusters) {
-        if (cache::Line *l = cl->l2().probe(base)) {
-            if ((l->dirtyMask & bit) && (l->validMask & bit)) {
-                std::uint32_t v = 0;
-                l->read(a, &v, 4);
-                return v;
-            }
+    std::array<cache::Line *, mem::wordsPerLine> src{};
+    auto claim = [&](cache::Line *l, mem::WordMask words) {
+        for (unsigned w = 0; w < mem::wordsPerLine; ++w) {
+            if (words & (1u << w))
+                src[w] = l;
         }
+        want = mem::WordMask(want & ~words);
+    };
+    // A dirty word in any L2 is the newest value; the lowest-numbered
+    // cluster wins.
+    for (auto &cl : _clusters) {
+        if (!want)
+            return src;
+        if (cache::Line *l = cl->l2().probe(base))
+            claim(l, want & l->dirtyMask & l->validMask);
     }
-    // Then the L3 copy, then memory.
-    cache::Line *l3line = bank(_map.bankOf(base)).l3().probe(base);
-    if (l3line && (l3line->validMask & bit)) {
-        std::uint32_t v = 0;
-        l3line->read(a, &v, 4);
-        return v;
+    // Then the L3 copy; memory holds whatever is left.
+    if (want) {
+        if (cache::Line *l3 = bank(_map.bankOf(base)).l3().probe(base))
+            claim(l3, want & l3->validMask);
     }
-    return _store.readT<std::uint32_t>(a);
+    return src;
+}
+
+void
+Chip::coherentRead(mem::Addr a, std::uint32_t *out, std::size_t words)
+{
+    panic_if(a % mem::wordBytes, "coherentRead of unaligned address 0x",
+             std::hex, a);
+    while (words > 0) {
+        const mem::Addr base = mem::lineBase(a);
+        const unsigned first = mem::wordIndex(a);
+        const unsigned n = static_cast<unsigned>(
+            std::min<std::size_t>(words, mem::wordsPerLine - first));
+        const auto src =
+            newestCopies(base, mem::WordMask(((1u << n) - 1) << first));
+        for (unsigned w = first; w < first + n; ++w, a += mem::wordBytes) {
+            if (const cache::Line *l = src[w])
+                l->read(a, out++, mem::wordBytes);
+            else
+                *out++ = _store.readT<std::uint32_t>(a);
+        }
+        words -= n;
+    }
 }
 
 void
@@ -444,25 +467,12 @@ Chip::injectFault(sim::FaultSite site, mem::Addr a, std::uint32_t xor_mask)
 
     switch (site) {
       case FaultSite::MemDataFlip:
-        // Corrupt the newest visible copy, mirroring coherentRead32's
-        // search order, so a verifier must observe the flip.
-        for (auto &cl : _clusters) {
-            if (cache::Line *l = cl->l2().probe(base)) {
-                if ((l->dirtyMask & bit) && (l->validMask & bit)) {
-                    xor_data(*l);
-                    _faults.countInjected(site);
-                    return;
-                }
-            }
-        }
-        if (cache::Line *l3 = bank(_map.bankOf(base)).l3().probe(base)) {
-            if (l3->validMask & bit) {
-                xor_data(*l3);
-                _faults.countInjected(site);
-                return;
-            }
-        }
-        _store.writeT(a, _store.readT<std::uint32_t>(a) ^ xor_mask);
+        // Corrupt the newest visible copy — the word coherentRead
+        // returns — so a verifier must observe the flip.
+        if (cache::Line *l = newestCopies(base, bit)[mem::wordIndex(a)])
+            xor_data(*l);
+        else
+            _store.writeT(a, _store.readT<std::uint32_t>(a) ^ xor_mask);
         _faults.countInjected(site);
         return;
 
@@ -1151,6 +1161,7 @@ Chip::runUntilQuiescent()
     };
 
     while (true) {
+        sim::HostProfiler::Scope pick(sim::HostProfiler::Phase::Barrier);
         _router.collect();
         sim::Tick bound = _router.minInboxHead();
         for (const auto &q : _eqs)
@@ -1171,10 +1182,12 @@ Chip::runUntilQuiescent()
         sim::Tick stop = std::min(
             std::min(std::min(limit, window_end), bound + horizon),
             std::min(std::min(next_audit, next_pump), next_sample));
+        pick.close();
 
         run_windows(stop);
 
         // --- Window barrier (single-threaded) ------------------------
+        sim::HostProfiler::Scope drain(sim::HostProfiler::Phase::Barrier);
         drainRecStage();
         bool cadence_due = stop >= next_audit || stop >= next_pump ||
                            stop >= next_sample || stop >= window_end;
@@ -1184,6 +1197,8 @@ Chip::runUntilQuiescent()
             _router.collect();
             for (auto &q : _eqs)
                 q->advanceTo(stop);
+            // The cadences below time themselves.
+            drain.close();
             if (stop >= next_audit) {
                 sim::HostProfiler::Scope hp(
                     sim::HostProfiler::Phase::Audit);

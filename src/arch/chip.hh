@@ -219,11 +219,23 @@ class Chip
     }
 
     /**
-     * Read a 32-bit word with full visibility into the hierarchy:
-     * a dirty L2 copy wins, then a valid L3 copy, then memory. Used
-     * by kernel verification so results need not be flushed first.
+     * Read @p words consecutive 32-bit words from word-aligned @p a
+     * with full visibility into the hierarchy. Per word, the newest
+     * visible copy wins: the lowest-numbered cluster whose L2 holds the
+     * word dirty and valid, then a valid word in the home L3, then
+     * memory. Each line is resolved once. Used by kernel verification
+     * so results need not be flushed first.
      */
-    std::uint32_t coherentRead32(mem::Addr a);
+    void coherentRead(mem::Addr a, std::uint32_t *out, std::size_t words);
+
+    /** One-word coherentRead. */
+    std::uint32_t
+    coherentRead32(mem::Addr a)
+    {
+        std::uint32_t v = 0;
+        coherentRead(a, &v, 1);
+        return v;
+    }
 
     // --- Fault injection -------------------------------------------------
 
@@ -233,10 +245,11 @@ class Chip
     /**
      * Directed (test-driven) injection at @p site, xoring @p xor_mask
      * into the word at @p addr. MemDataFlip corrupts the newest
-     * visible copy (the one coherentRead32 would return) so a verifier
-     * must observe it; L2/L3 variants corrupt a resident copy if one
-     * exists (meta sites xor the low byte into dirtyMask and the next
-     * byte into validMask). Counts as injected on the site.
+     * visible copy (the one coherentRead returns, found by the same
+     * line resolution) so a verifier must observe it; L2/L3 variants
+     * corrupt a resident copy if one exists (meta sites xor the low
+     * byte into dirtyMask and the next byte into validMask). Counts as
+     * injected on the site.
      */
     void injectFault(sim::FaultSite site, mem::Addr addr,
                      std::uint32_t xor_mask);
@@ -476,6 +489,12 @@ class Chip
     /** Route one request (or its duplicate) to the bank's shard. */
     void routeRequest(unsigned cluster_id, unsigned bank_id, Request req,
                       sim::Tick nominal, sim::Tick depart, unsigned drops);
+
+    /** Per word of @p base's line: the line holding the newest visible
+     *  copy (coherentRead's order), or nullptr where memory holds it.
+     *  Only the words in @p want are resolved. */
+    std::array<cache::Line *, mem::wordsPerLine>
+    newestCopies(mem::Addr base, mem::WordMask want);
 
     /** Probe application at the cluster + response leg back. */
     void probeArrived(unsigned bank_id, unsigned cluster_id, ProbeType type,

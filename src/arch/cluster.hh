@@ -188,18 +188,11 @@ class Cluster
         return _pendingWb.evictions().value();
     }
 
-    /** True if a fill/upgrade for @p base's line is in flight (used by
-     *  the coherence auditor's in-flux filter). */
-    bool
-    hasMshr(mem::Addr base) const
-    {
-        return _mshrs.count(mem::lineBase(base)) != 0;
-    }
-
     /** Outstanding fill/upgrade MSHRs (host occupancy gauge). */
     std::size_t mshrCount() const { return _mshrs.size(); }
 
-    /** Visit every MSHR (watchdog in-flight dump). */
+    /** Visit every MSHR, keyed by line base (watchdog in-flight dump,
+     *  the coherence auditor's in-flux filter). */
     void
     forEachMshr(const std::function<void(mem::Addr, ReqType,
                                          unsigned)> &fn) const

@@ -66,10 +66,8 @@ Auditor::inFlux(mem::Addr base) const
     arch::Chip &c = _chip;
     if (c.bank(c.map().bankOf(base)).lineBusy(base))
         return true;
-    for (unsigned i = 0; i < c.numClusters(); ++i) {
-        if (c.cluster(i).hasMshr(base))
-            return true;
-    }
+    if (_mshrLines.count(base))
+        return true;
     if (c.cohesionEnabled()) {
         // A transition atomic holds the covering table line's lock
         // while it rewrites this line's domain.
@@ -125,6 +123,15 @@ Auditor::auditPass()
     if (_countStats)
         _passes.inc();
     _tableWords.clear();
+    // Lines with a fill/upgrade in flight in any cluster, gathered once
+    // so inFlux() is one lookup rather than a probe of every cluster.
+    _mshrLines.clear();
+    for (unsigned ci = 0; ci < c.numClusters(); ++ci) {
+        c.cluster(ci).forEachMshr([&](mem::Addr base, arch::ReqType,
+                                      unsigned) {
+            _mshrLines.insert(base);
+        });
+    }
 
     struct Copy
     {
@@ -153,30 +160,35 @@ Auditor::auditPass()
             }
             if (_countStats)
                 _linesChecked.inc();
-            const std::string where = sim::cat(
-                "cluster ", ci, " line 0x", std::hex, l.base, std::dec,
-                " state ", cache::cohStateName(l.hwState),
-                l.incoherent ? " incoherent" : "", " valid=0x", std::hex,
-                unsigned(l.validMask), " dirty=0x", unsigned(l.dirtyMask),
-                std::dec);
+            // Formatted only once an invariant has failed.
+            auto where = [&]() {
+                return sim::cat(
+                    "cluster ", ci, " line 0x", std::hex, l.base, std::dec,
+                    " state ", cache::cohStateName(l.hwState),
+                    l.incoherent ? " incoherent" : "", " valid=0x",
+                    std::hex, unsigned(l.validMask), " dirty=0x",
+                    unsigned(l.dirtyMask), std::dec);
+            };
 
             if (applicable(Invariant::DirtySubsetValid) &&
                 (l.dirtyMask & ~l.validMask) != 0)
-                throw AuditError("dirty-subset-valid", where);
+                throw AuditError("dirty-subset-valid", where());
             if (applicable(Invariant::IncoherentXorHwstate) &&
                 l.incoherent && l.hwState != cache::CohState::Invalid)
-                throw AuditError("incoherent-xor-hwstate", where);
+                throw AuditError("incoherent-xor-hwstate", where());
             if (applicable(Invariant::ValidLineStateless) &&
                 !l.incoherent && l.hwState == cache::CohState::Invalid)
-                throw AuditError("valid-line-stateless", where);
+                throw AuditError("valid-line-stateless", where());
             if (applicable(Invariant::DirtyNeedsOwner) && l.dirty() &&
                 !l.incoherent && l.hwState != cache::CohState::Modified)
-                throw AuditError("dirty-needs-owner", where);
+                throw AuditError("dirty-needs-owner", where());
             if (applicable(Invariant::ModeDomain)) {
                 if (mode == arch::CoherenceMode::HWccOnly && l.incoherent)
-                    throw AuditError("mode-domain", where + " (HWccOnly)");
+                    throw AuditError("mode-domain",
+                                     where() + " (HWccOnly)");
                 if (mode == arch::CoherenceMode::SWccOnly && !l.incoherent)
-                    throw AuditError("mode-domain", where + " (SWccOnly)");
+                    throw AuditError("mode-domain",
+                                     where() + " (SWccOnly)");
             }
 
             if (!l.incoherent) {
@@ -187,7 +199,7 @@ Auditor::auditPass()
                     // Directoryless bank writes through and grants
                     // Shared only: an HWcc L2 copy is always a clean
                     // Shared one.
-                    throw AuditError("dls-clean-shared", where);
+                    throw AuditError("dls-clean-shared", where());
                 }
                 // HWcc copy: the home directory must know about it
                 // (directory-backed backends only).
@@ -195,17 +207,17 @@ Auditor::auditPass()
                 if (applicable(Invariant::L2WithoutDirectory)) {
                     auto di = dirIndex.find(l.base);
                     if (di == dirIndex.end())
-                        throw AuditError("l2-without-directory", where);
+                        throw AuditError("l2-without-directory", where());
                     e = di->second;
                 }
                 if (applicable(Invariant::SharerMissing) && e &&
                     !e->sharers.contains(ci))
                     throw AuditError(
                         "sharer-missing",
-                        where + sim::cat(" (dir state ",
-                                         cache::cohStateName(e->state),
-                                         ", ", e->sharers.count(),
-                                         " sharer(s))"));
+                        where() + sim::cat(" (dir state ",
+                                           cache::cohStateName(e->state),
+                                           ", ", e->sharers.count(),
+                                           " sharer(s))"));
                 if (applicable(Invariant::StateMismatch) && e) {
                     bool l2_owner =
                         l.hwState == cache::CohState::Modified ||
@@ -216,7 +228,7 @@ Auditor::auditPass()
                     if (l2_owner && !dir_owner)
                         throw AuditError(
                             "state-mismatch",
-                            where +
+                            where() +
                                 sim::cat(" (dir state ",
                                          cache::cohStateName(e->state),
                                          ")"));
@@ -225,13 +237,13 @@ Auditor::auditPass()
                     mode == arch::CoherenceMode::Cohesion &&
                     lineIsSwcc(l.base)) {
                     throw AuditError("domain-mismatch",
-                                     where + " (table says SWcc)");
+                                     where() + " (table says SWcc)");
                 }
             } else if (mode == arch::CoherenceMode::Cohesion) {
                 if (applicable(Invariant::DomainMismatch) &&
                     !lineIsSwcc(l.base))
                     throw AuditError("domain-mismatch",
-                                     where + " (table says HWcc)");
+                                     where() + " (table says HWcc)");
             }
         });
     }
@@ -260,13 +272,15 @@ Auditor::auditPass()
         if (!dir)
             continue; // directoryless backend: nothing to walk
         dir->forEach([&](const DirEntry &e) {
-            const std::string where = sim::cat(
-                "bank ", bi, " entry 0x", std::hex, e.base, std::dec,
-                " state ", cache::cohStateName(e.state), " ",
-                e.sharers.count(), " sharer(s)");
+            auto where = [&]() {
+                return sim::cat("bank ", bi, " entry 0x", std::hex, e.base,
+                                std::dec, " state ",
+                                cache::cohStateName(e.state), " ",
+                                e.sharers.count(), " sharer(s)");
+            };
             if (applicable(Invariant::DirInSwccMode) &&
                 mode == arch::CoherenceMode::SWccOnly)
-                throw AuditError("dir-in-swcc-mode", where);
+                throw AuditError("dir-in-swcc-mode", where());
             if (inFlux(e.base)) {
                 if (_countStats)
                     _linesSkipped.inc();
@@ -276,19 +290,19 @@ Auditor::auditPass()
                 _linesChecked.inc();
             if (applicable(Invariant::DirInvalidState) &&
                 e.state == cache::CohState::Invalid)
-                throw AuditError("dir-invalid-state", where);
+                throw AuditError("dir-invalid-state", where());
             if (applicable(Invariant::DirEmptySharers) &&
                 e.sharers.empty())
-                throw AuditError("dir-empty-sharers", where);
+                throw AuditError("dir-empty-sharers", where());
             bool owner = e.state == cache::CohState::Modified ||
                          e.state == cache::CohState::Exclusive;
             if (applicable(Invariant::DirMultiOwner) && owner &&
                 !e.sharers.broadcast() && e.sharers.count() != 1)
-                throw AuditError("dir-multi-owner", where);
+                throw AuditError("dir-multi-owner", where());
             if (applicable(Invariant::DirCoversSwcc) &&
                 mode == arch::CoherenceMode::Cohesion &&
                 lineIsSwcc(e.base))
-                throw AuditError("dir-covers-swcc", where);
+                throw AuditError("dir-covers-swcc", where());
         });
     }
 }

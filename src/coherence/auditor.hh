@@ -24,6 +24,12 @@
  * violation throws AuditError with a state dump, so silent corruption
  * from fault injection becomes a loud, attributable failure.
  *
+ * Cost: a pass walks every valid L2 line and directory entry once. The
+ * in-flight MSHR lines of all clusters are gathered into one set per
+ * pass, so the in-flux test is a few lookups per line, independent of
+ * the cluster count; the state dump is formatted only after an
+ * invariant has failed.
+ *
  * Each check is gated by the active backend's applicability mask
  * (BackendTraits::auditMask): a directoryless backend masks off the
  * directory-backed invariants, and every masked-off evaluation is
@@ -38,6 +44,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "coherence/backend.hh"
 #include "mem/types.hh"
@@ -148,6 +155,9 @@ class Auditor
 
     // Fine-table words resolved during the current pass.
     std::unordered_map<mem::Addr, std::uint32_t> _tableWords;
+    // Line bases with an MSHR allocated in any cluster, gathered once
+    // at the start of each pass.
+    std::unordered_set<mem::Addr> _mshrLines;
 
     sim::Counter _passes, _linesChecked, _linesSkipped;
     std::uint64_t _invariantSkips[static_cast<unsigned>(

@@ -18,6 +18,7 @@
 #ifndef COHESION_COHESION_REGION_TABLE_HH
 #define COHESION_COHESION_REGION_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -123,6 +124,54 @@ bitFromWord(std::uint32_t word, const mem::AddressMap &map, mem::Addr a)
     return (word >> map.tableBitIndex(a)) & 1u;
 }
 
+/** One table word's share of a region: the word's address and the
+ *  bits of the region's lines it holds. */
+struct WordUpdate
+{
+    mem::Addr wordAddr = 0;
+    std::uint32_t mask = 0;
+};
+
+/**
+ * Walks the lines of [start, start+size) one 1 KB block at a time:
+ * all 32 lines of a block share a table word, so each step yields that
+ * word (via hybrid.tbloff) and the mask of the region's lines in it.
+ * Boot-time pokeRegion and the runtime's coh_SWcc_region /
+ * coh_HWcc_region atomics both update the table through this walk.
+ */
+class BlockWalk
+{
+  public:
+    BlockWalk(const mem::AddressMap &map, mem::Addr start,
+              std::uint32_t size)
+        : _map(map), _next(mem::lineBase(start)),
+          _end(std::uint64_t(start) + size)
+    {}
+
+    /** The next block's update; false once the region is covered. */
+    bool
+    next(WordUpdate *out)
+    {
+        if (_next >= _end)
+            return false;
+        const std::uint64_t block = _next & ~(blockBytes - 1);
+        const std::uint64_t stop = std::min(_end, block + blockBytes);
+        const unsigned first = _map.tableBitIndex(mem::Addr(_next));
+        const unsigned last = _map.tableBitIndex(mem::Addr(stop - 1));
+        out->wordAddr = _map.tableWordAddr(mem::Addr(block));
+        out->mask = (~0u << first) & (~0u >> (31 - last));
+        _next = stop;
+        return true;
+    }
+
+  private:
+    static constexpr std::uint64_t blockBytes = 32 * mem::lineBytes;
+
+    const mem::AddressMap &_map;
+    std::uint64_t _next; ///< Base of the first line not yet covered.
+    std::uint64_t _end;
+};
+
 /** Boot-time (untimed) set/clear of a line's bit in the store. */
 inline void
 pokeBit(mem::BackingStore &store, const mem::AddressMap &map, mem::Addr a,
@@ -144,14 +193,17 @@ peekBit(const mem::BackingStore &store, const mem::AddressMap &map,
                        map, a);
 }
 
-/** Mark a whole region SWcc/HWcc at boot (untimed). */
+/** Mark a whole region SWcc/HWcc at boot (untimed): one table-word
+ *  update per 1 KB block. */
 inline void
 pokeRegion(mem::BackingStore &store, const mem::AddressMap &map,
            mem::Addr start, std::uint32_t size, bool swcc)
 {
-    for (mem::Addr a = mem::lineBase(start); a < start + size;
-         a += mem::lineBytes) {
-        pokeBit(store, map, a, swcc);
+    BlockWalk walk(map, start, size);
+    for (WordUpdate u; walk.next(&u);) {
+        std::uint32_t word = store.readT<std::uint32_t>(u.wordAddr);
+        word = swcc ? (word | u.mask) : (word & ~u.mask);
+        store.writeT(u.wordAddr, word);
     }
 }
 

@@ -287,9 +287,8 @@ CgKernel::verify(runtime::CohesionRuntime &rt)
     // differences across iterations. Verify the algorithmic property:
     // the simulated x must satisfy the same residual reduction the
     // reference achieved (within slack), plus a loose direct match.
-    std::vector<double> xs(_n);
-    for (std::uint32_t i = 0; i < _n; ++i)
-        xs[i] = rt.verifyReadF32(_x + i * 4);
+    const std::vector<float> got = rt.verifyReadF32(_x, _n);
+    const std::vector<double> xs(got.begin(), got.end());
     double rr_sim = 0;
     for (std::uint32_t row = 0; row < _n; ++row) {
         double ax = 0;

@@ -76,12 +76,13 @@ void
 DmmKernel::verify(runtime::CohesionRuntime &rt)
 {
     const std::uint32_t n = _n;
+    const std::vector<float> c = rt.verifyReadF32(_c, n * n);
     for (std::uint32_t i = 0; i < n; ++i) {
         for (std::uint32_t j = 0; j < n; ++j) {
             float want = 0.0f;
             for (std::uint32_t k = 0; k < n; ++k)
                 want += _ha[i * n + k] * _hb[k * n + j];
-            float got = rt.verifyReadF32(_c + (i * n + j) * 4);
+            float got = c[i * n + j];
             // !(x <= t) so a NaN from an injected fault fails the check.
             fatal_if(!(std::fabs(got - want) <=
                        1e-3f + 1e-3f * std::fabs(want)),

@@ -250,9 +250,10 @@ GjkKernel::worker(runtime::Ctx ctx)
 void
 GjkKernel::verify(runtime::CohesionRuntime &rt)
 {
+    const std::vector<float> results = rt.verifyReadF32(_results, _numPairs);
     for (std::uint32_t p = 0; p < _numPairs; ++p) {
         float want = hostPair(_hPairs[p].first, _hPairs[p].second);
-        float got = rt.verifyReadF32(_results + p * 4);
+        float got = results[p];
         // !(x <= t) so a NaN from an injected fault fails.
         fatal_if(!(std::fabs(got - want) <=
                    1e-3f + 1e-4f * std::fabs(want)),

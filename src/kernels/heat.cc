@@ -119,9 +119,10 @@ HeatKernel::verify(runtime::CohesionRuntime &rt)
         std::swap(cur, next);
     }
 
-    mem::Addr result = (_iters % 2 == 0) ? _a : _b;
+    const std::vector<float> result =
+        rt.verifyReadF32((_iters % 2 == 0) ? _a : _b, n * n);
     for (std::uint32_t i = 0; i < n * n; ++i) {
-        float got = rt.verifyReadF32(result + i * 4);
+        float got = result[i];
         float want = cur[i];
         // !(x <= t) so a NaN from an injected fault fails the check.
         fatal_if(!(std::fabs(got - want) <=

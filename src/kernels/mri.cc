@@ -91,6 +91,8 @@ MriKernel::worker(runtime::Ctx ctx)
 void
 MriKernel::verify(runtime::CohesionRuntime &rt)
 {
+    const std::vector<float> sim_qr = rt.verifyReadF32(_qr, _numVoxels);
+    const std::vector<float> sim_qi = rt.verifyReadF32(_qi, _numVoxels);
     for (std::uint32_t v = 0; v < _numVoxels; ++v) {
         float x = _hostVox[v * 3 + 0];
         float y = _hostVox[v * 3 + 1];
@@ -105,8 +107,8 @@ MriKernel::verify(runtime::CohesionRuntime &rt)
             qr += phi * std::cos(arg);
             qi += phi * std::sin(arg);
         }
-        float got_r = rt.verifyReadF32(_qr + v * 4);
-        float got_i = rt.verifyReadF32(_qi + v * 4);
+        float got_r = sim_qr[v];
+        float got_i = sim_qi[v];
         // !(x <= t) so a NaN from an injected fault fails.
         fatal_if(!(std::fabs(got_r - qr) <= 1e-3f + 1e-3f * std::fabs(qr)),
                  "mri Qr mismatch at voxel ", v, ": got ", got_r,

@@ -118,6 +118,7 @@ void
 SobelKernel::verify(runtime::CohesionRuntime &rt)
 {
     const std::uint32_t w = _w, h = _h;
+    const std::vector<float> edges = rt.verifyReadF32(_edges, w * h);
     std::uint32_t want_count = 0;
     for (std::uint32_t r = 1; r + 1 < h; ++r) {
         for (std::uint32_t c = 1; c + 1 < w; ++c) {
@@ -133,7 +134,7 @@ SobelKernel::verify(runtime::CohesionRuntime &rt)
                        (p(r - 1, c - 1) + 2 * p(r - 1, c) +
                         p(r - 1, c + 1));
             float want = std::fabs(gx) + std::fabs(gy);
-            float got = rt.verifyReadF32(_edges + (r * w + c) * 4);
+            float got = edges[r * w + c];
             // !(x <= t) so a NaN from an injected fault fails.
             fatal_if(!(std::fabs(got - want) <= 1e-2f),
                      "sobel mismatch at (", r, ",", c, "): got ", got,

@@ -140,50 +140,26 @@ class AddressMap
      * [9 .. 9+bankBits-1], while the covered line's bank field arrives
      * in *input* index bits [1 .. bankBits]. The permutation moves the
      * bank field accordingly and scatters the remaining bits, in order,
-     * over the remaining positions.
+     * over the remaining positions: input bit 0 and bits
+     * [bankBits+1 .. 21] pack into a dense "rest" value whose low nine
+     * bits land below the output bank field and whose high bits land
+     * above it.
      */
     std::uint32_t
     permuteWordIndex(std::uint32_t idx) const
     {
-        std::uint32_t out = 0;
-        for (unsigned i = 0; i < _bankBits; ++i) {
-            if (idx & (1u << (1 + i)))
-                out |= 1u << (9 + i);
-        }
-        unsigned out_pos = 0;
-        auto place = [&](unsigned in_bit) {
-            if (out_pos == 9)
-                out_pos += _bankBits; // skip the pinned bank field
-            if (idx & (1u << in_bit))
-                out |= 1u << out_pos;
-            ++out_pos;
-        };
-        place(0);
-        for (unsigned i = _bankBits + 1; i < 22; ++i)
-            place(i);
-        return out;
+        const std::uint32_t bank = (idx >> 1) & (_numBanks - 1);
+        const std::uint32_t rest = (idx & 1u) | (idx >> _bankBits & ~1u);
+        return (rest & 0x1FFu) | bank << 9 | (rest >> 9) << (9 + _bankBits);
     }
 
     std::uint32_t
     unpermuteWordIndex(std::uint32_t out) const
     {
-        std::uint32_t idx = 0;
-        for (unsigned i = 0; i < _bankBits; ++i) {
-            if (out & (1u << (9 + i)))
-                idx |= 1u << (1 + i);
-        }
-        unsigned out_pos = 0;
-        auto take = [&](unsigned in_bit) {
-            if (out_pos == 9)
-                out_pos += _bankBits;
-            if (out & (1u << out_pos))
-                idx |= 1u << in_bit;
-            ++out_pos;
-        };
-        take(0);
-        for (unsigned i = _bankBits + 1; i < 22; ++i)
-            take(i);
-        return idx;
+        const std::uint32_t bank = (out >> 9) & (_numBanks - 1);
+        const std::uint32_t rest =
+            (out & 0x1FFu) | (out >> (9 + _bankBits)) << 9;
+        return (rest & 1u) | bank << 1 | (rest & ~1u) << _bankBits;
     }
 
     unsigned _numBanks;

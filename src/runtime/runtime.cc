@@ -1,5 +1,7 @@
 #include "runtime/runtime.hh"
 
+#include <algorithm>
+
 #include "cohesion/region_table.hh"
 #include "sim/trace_json.hh"
 
@@ -181,6 +183,17 @@ CohesionRuntime::swccManaged(mem::Addr a) const
     return _chip.coarseTable().contains(a);
 }
 
+std::vector<float>
+CohesionRuntime::verifyReadF32(mem::Addr a, std::size_t n)
+{
+    std::vector<std::uint32_t> words(n);
+    _chip.coherentRead(a, words.data(), n);
+    std::vector<float> out(n);
+    std::transform(words.begin(), words.end(), out.begin(),
+                   [](std::uint32_t w) { return std::bit_cast<float>(w); });
+    return out;
+}
+
 sim::CoTask
 CohesionRuntime::setRegionDomain(arch::Core &core, mem::Addr ptr,
                                  std::uint32_t size, bool swcc)
@@ -188,24 +201,13 @@ CohesionRuntime::setRegionDomain(arch::Core &core, mem::Addr ptr,
     if (!_chip.cohesionEnabled())
         co_return; // no tables in the pure modes
 
-    const mem::AddressMap &map = _chip.map();
-    mem::Addr a = mem::lineBase(ptr);
-    const mem::Addr end = ptr + size;
-    while (a < end) {
-        // All lines within one 1 KB block share a table word; gather
-        // their bits into a single atomic update (hybrid.tbloff gives
-        // the word's address).
-        mem::Addr block = a & ~mem::Addr(1023);
-        std::uint32_t mask = 0;
-        for (; a < end && (a & ~mem::Addr(1023)) == block;
-             a += mem::lineBytes) {
-            mask |= 1u << map.tableBitIndex(a);
-        }
-        mem::Addr word_addr = map.tableWordAddr(block);
+    // One atomic per covered table word, i.e. per 1 KB block.
+    cohesion::fine_table::BlockWalk walk(_chip.map(), ptr, size);
+    for (cohesion::fine_table::WordUpdate u; walk.next(&u);) {
         if (swcc) {
-            co_await core.atomic(arch::AtomicOp::Or, word_addr, mask);
+            co_await core.atomic(arch::AtomicOp::Or, u.wordAddr, u.mask);
         } else {
-            co_await core.atomic(arch::AtomicOp::And, word_addr, ~mask);
+            co_await core.atomic(arch::AtomicOp::And, u.wordAddr, ~u.mask);
         }
     }
 }

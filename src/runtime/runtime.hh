@@ -12,6 +12,7 @@
 #ifndef COHESION_RUNTIME_RUNTIME_HH
 #define COHESION_RUNTIME_RUNTIME_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -277,6 +278,16 @@ class CohesionRuntime
     /** Coherent (hierarchy-aware) 32-bit read for verification. */
     std::uint32_t verifyRead32(mem::Addr a) { return _chip.coherentRead32(a); }
 
+    float
+    verifyReadF32(mem::Addr a)
+    {
+        return std::bit_cast<float>(verifyRead32(a));
+    }
+
+    /** Coherent read of the @p n-element float array at @p a for
+     *  verification (one arch::Chip::coherentRead). */
+    std::vector<float> verifyReadF32(mem::Addr a, std::size_t n);
+
     /**
      * Checkpoint hooks for the runtime's own state: the three heaps
      * (so allocation addresses continue identically), the barrier
@@ -304,16 +315,6 @@ class CohesionRuntime
         _metaHeap.restoreState(des);
         _barrier.restoreState(des);
         _queue.restoreState(des);
-    }
-
-    float
-    verifyReadF32(mem::Addr a)
-    {
-        std::uint32_t v = verifyRead32(a);
-        float f;
-        static_assert(sizeof(f) == sizeof(v));
-        __builtin_memcpy(&f, &v, sizeof(f));
-        return f;
     }
 
   private:

@@ -194,6 +194,8 @@ HostProfiler::phaseName(Phase p)
         return "setup";
       case Phase::EqDispatch:
         return "eq.dispatch";
+      case Phase::Barrier:
+        return "barrier";
       case Phase::Audit:
         return "audit";
       case Phase::FaultPump:

@@ -14,13 +14,14 @@
  *    is a single relaxed flag test, so instrumentation sites stay in
  *    release builds;
  *  - two phase kinds. *Exact* phases (the run-loop cadences: dispatch
- *    bursts, audit passes, the fault pump, the sampler, setup/verify/
- *    export) are long and rare, so every occurrence is timed with
- *    steady_clock and their sum tiles a run's wall time. *Sampled*
- *    phases (per-component event handling) fire per event, where two
- *    clock reads would blow the <=2% events/sec budget; they count
- *    every entry but time only one in 2^sampleShift, reporting the
- *    scaled estimate `timedNs * count / timedCount`;
+ *    bursts, window barriers, audit passes, the fault pump, the
+ *    sampler, setup/verify/export) are long and rare, so every
+ *    occurrence is timed with steady_clock and their sum tiles a
+ *    run's wall time. *Sampled* phases (per-component event
+ *    handling) fire per event, where two clock reads would blow the
+ *    <=2% events/sec budget; they count every entry but time only one
+ *    in 2^sampleShift, reporting the scaled estimate
+ *    `timedNs * count / timedCount`;
  *  - thread-local accumulation: each thread owns its accumulator (the
  *    registry keeps it alive past thread exit), so SweepEngine workers
  *    profile concurrently without sharing a cache line; snapshots
@@ -57,6 +58,7 @@ class HostProfiler
         // --- exact phases (timed on every occurrence) ---------------
         Setup,       ///< machine construction, kernel setup, task start
         EqDispatch,  ///< event-queue bursts inside runUntilQuiescent
+        Barrier,     ///< window-barrier bookkeeping between bursts
         Audit,       ///< coherence auditor invariant passes
         FaultPump,   ///< cache bit-flip pump cadence
         Sampler,     ///< time-series sampling cadence

@@ -2,12 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "mem/address_map.hh"
 #include "sim/random.hh"
 
 namespace {
 
 constexpr mem::Addr kTableBase = 0xF000'0000;
+constexpr std::uint32_t kWordIndices = 1u << 22; // 4 GB / 1 KB blocks
+
+/**
+ * Reference tbloff permutation, written as the bit-by-bit walk the
+ * hash is specified by: the covered line's bank field (index bits
+ * [1 .. bankBits]) moves to the table word's home-bank field (index
+ * bits [9 .. 9+bankBits-1]); the other bits keep their order over the
+ * remaining positions. AddressMap computes the same map in closed form.
+ */
+std::uint32_t
+refPermute(std::uint32_t idx, unsigned bank_bits)
+{
+    std::uint32_t out = 0;
+    for (unsigned i = 0; i < bank_bits; ++i) {
+        if (idx & (1u << (1 + i)))
+            out |= 1u << (9 + i);
+    }
+    unsigned out_pos = 0;
+    auto place = [&](unsigned in_bit) {
+        if (out_pos == 9)
+            out_pos += bank_bits; // skip the pinned bank field
+        if (idx & (1u << in_bit))
+            out |= 1u << out_pos;
+        ++out_pos;
+    };
+    place(0);
+    for (unsigned i = bank_bits + 1; i < 22; ++i)
+        place(i);
+    return out;
+}
+
+std::uint32_t
+refUnpermute(std::uint32_t out, unsigned bank_bits)
+{
+    std::uint32_t idx = 0;
+    for (unsigned i = 0; i < bank_bits; ++i) {
+        if (out & (1u << (9 + i)))
+            idx |= 1u << (1 + i);
+    }
+    unsigned out_pos = 0;
+    auto take = [&](unsigned in_bit) {
+        if (out_pos == 9)
+            out_pos += bank_bits;
+        if (out & (1u << out_pos))
+            idx |= 1u << in_bit;
+        ++out_pos;
+    };
+    take(0);
+    for (unsigned i = bank_bits + 1; i < 22; ++i)
+        take(i);
+    return idx;
+}
 
 TEST(AddressMap, BankAndChannelFields)
 {
@@ -92,17 +148,57 @@ TEST_P(TblOffBankProperty, PermutationIsInjective)
     unsigned banks = GetParam();
     unsigned channels = std::max(1u, banks / 4);
     mem::AddressMap map(banks, channels, kTableBase);
-    // Distinct 1 KB blocks must map to distinct table words: sample
-    // a contiguous run plus random probes against a seen-set.
-    std::set<mem::Addr> seen;
-    for (mem::Addr block = 0; block < (1u << 22); block += 1024) {
-        mem::Addr t = map.tableWordAddr(block);
-        EXPECT_TRUE(seen.insert(t).second) << std::hex << block;
+    // Distinct 1 KB blocks must map to distinct table words: the
+    // inverse recovering every block proves it. The odd stride runs
+    // through every pattern of the low 15 index bits (the bank field at
+    // any count) while spanning the whole space.
+    for (std::uint32_t idx = 0; idx < kWordIndices; idx += 97) {
+        const mem::Addr block = idx << 10;
+        ASSERT_EQ(map.coveredBlockBase(map.tableWordAddr(block)), block)
+            << std::hex << block;
     }
 }
 
+/** The closed form against the bit walk it replaced, both ways, on a
+ *  stride through the whole index space (the Table-3 count is checked
+ *  exhaustively below). */
+TEST_P(TblOffBankProperty, ClosedFormMatchesBitWalkOnStride)
+{
+    const unsigned banks = GetParam();
+    const mem::AddressMap map(banks, 1, kTableBase);
+    const unsigned bank_bits = std::countr_zero(banks);
+    for (std::uint32_t idx = 0; idx < kWordIndices; idx += 193) {
+        ASSERT_EQ(map.tableWordAddr(idx << 10),
+                  kTableBase + (refPermute(idx, bank_bits) << 2))
+            << std::hex << "word index 0x" << idx;
+        ASSERT_EQ(map.coveredBlockBase(kTableBase + (idx << 2)),
+                  refUnpermute(idx, bank_bits) << 10)
+            << std::hex << "word index 0x" << idx;
+    }
+}
+
+// Every bank count AddressMap accepts (the bank field is <= 13 bits).
 INSTANTIATE_TEST_SUITE_P(BankCounts, TblOffBankProperty,
-                         ::testing::Values(1, 2, 4, 8, 16, 32, 64));
+                         ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256,
+                                           512, 1024, 2048, 4096, 8192));
+
+TEST(AddressMap, TblOffMatchesBitWalkForEveryWordAtTable3Banks)
+{
+    // All 2^22 blocks of the paper's 32-bank machine: the forward hash
+    // equals the bit walk and coveredBlockBase inverts it, so the
+    // inverse equals the reference inverse too.
+    const mem::AddressMap map(32, 8, kTableBase);
+    std::uint32_t bad = 0, first_bad = 0;
+    for (std::uint32_t idx = 0; idx < kWordIndices; ++idx) {
+        const mem::Addr word = map.tableWordAddr(idx << 10);
+        if ((word != kTableBase + (refPermute(idx, 5) << 2) ||
+             map.coveredBlockBase(word) != idx << 10) &&
+            bad++ == 0)
+            first_bad = idx;
+    }
+    EXPECT_EQ(bad, 0u) << "first mismatch at word index 0x" << std::hex
+                       << first_bad;
+}
 
 TEST(AddressMap, CoveredBlockBaseRejectsOutsideTable)
 {

@@ -449,4 +449,88 @@ TEST(DirectoryCapacity, EvictionsInvalidateSharersButPreserveData)
                   i + 1);
 }
 
+// ---------------------------------------------------------------------
+// Verification reads (newest visible copy)
+// ---------------------------------------------------------------------
+
+/** Install @p base's line in an empty @p arr (test-built state). */
+cache::Line &
+installLine(cache::CacheArray &arr, mem::Addr base)
+{
+    cache::Line &l = arr.victim(base);
+    arr.claim(l, base);
+    return l;
+}
+
+TEST(CoherentRead, RangedReadResolvesEveryWordLikeTheOneWordRead)
+{
+    Rig rig(CoherenceMode::SWccOnly, coherence::DirectoryConfig::optimistic(),
+            4);
+    arch::Chip &chip = *rig.chip;
+    const mem::Addr base = rig.rt->cohMalloc(4 * mem::lineBytes);
+    auto word = [&](unsigned line, unsigned w) {
+        return base + line * mem::lineBytes + w * mem::wordBytes;
+    };
+    for (unsigned i = 0; i < 3 * mem::wordsPerLine; ++i)
+        chip.debugWriteT<std::uint32_t>(base + i * 4, 0x1000 + i);
+    auto l2 = [&](unsigned cl, unsigned line) -> cache::Line & {
+        return installLine(chip.cluster(cl).l2(), word(line, 0));
+    };
+    auto put = [](cache::Line &l, mem::Addr a, std::uint32_t v) {
+        l.write(a, &v, 4); // valid + dirty
+    };
+    std::array<std::uint8_t, mem::lineBytes> img{};
+    img.fill(0xEE);
+
+    // Line 0, word 3: dirty in clusters 1 and 3, clean in cluster 0;
+    // the lowest-numbered dirty holder wins.
+    cache::Line &c0 = l2(0, 0);
+    c0.fill(img.data(), mem::fullMask);
+    put(l2(1, 0), word(0, 3), 0xA1);
+    cache::Line &c3 = l2(3, 0);
+    put(c3, word(0, 3), 0xA3);
+    // Word 4: dirty but not valid in cluster 3's L2 (skipped), valid in
+    // the L3. Word 5: only in the L3. Word 6: the L3 line holds it
+    // invalid, so memory answers.
+    c3.dirtyMask |= mem::wordBit(word(0, 4));
+    cache::CacheArray &l3 = chip.bank(chip.map().bankOf(base)).l3();
+    cache::Line &b0 = installLine(l3, word(0, 0));
+    std::array<std::uint8_t, mem::lineBytes> l3img{};
+    l3img.fill(0xC0);
+    b0.fill(l3img.data(), mem::WordMask(mem::wordBit(word(0, 4)) |
+                                        mem::wordBit(word(0, 5))));
+    // Line 1 is nowhere but memory. Line 2: word 0 dirty in cluster 3
+    // only, word 1 dirty in clusters 0 and 2.
+    put(l2(3, 2), word(2, 0), 0xB3);
+    put(l2(0, 2), word(2, 1), 0xB0);
+    put(l2(2, 2), word(2, 1), 0xB2);
+
+    // From word 3 of line 0 through word 4 of line 2.
+    const mem::Addr start = word(0, 3);
+    const std::size_t n = 5 + 8 + 5;
+    std::vector<std::uint32_t> got(n);
+    chip.coherentRead(start, got.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(got[i], chip.coherentRead32(start + i * 4)) << i;
+    EXPECT_EQ(got[0], 0xA1u);        // lowest dirty cluster
+    EXPECT_EQ(got[1], 0xC0C0C0C0u);  // dirty-invalid L2 word skipped
+    EXPECT_EQ(got[2], 0xC0C0C0C0u);  // L3 only
+    EXPECT_EQ(got[3], 0x1000u + 6);  // L3 word invalid: memory
+    EXPECT_EQ(got[4], 0x1000u + 7);  // clean L2 copy is not newest
+    for (unsigned w = 0; w < mem::wordsPerLine; ++w)
+        EXPECT_EQ(got[5 + w], 0x1000u + 8 + w); // line 1: memory
+    EXPECT_EQ(got[13], 0xB3u);
+    EXPECT_EQ(got[14], 0xB0u);
+    EXPECT_EQ(got[15], 0x1000u + 18);
+
+    // The targeted mem.data.flip corrupts exactly the word the ranged
+    // read returns, wherever that copy lives.
+    for (std::size_t i = 0; i < n; ++i) {
+        chip.injectFault(sim::FaultSite::MemDataFlip, start + i * 4, 0x80);
+        std::uint32_t after = 0;
+        chip.coherentRead(start + i * 4, &after, 1);
+        EXPECT_EQ(after, got[i] ^ 0x80u) << i;
+    }
+}
+
 } // namespace

@@ -6,7 +6,8 @@
  *    carrying a non-empty in-flight transaction dump;
  *  - every Auditor invariant must catch one targeted corruption
  *    (quiesce a kernel, smash exactly the state the invariant guards,
- *    expect AuditError naming that invariant);
+ *    expect AuditError naming that invariant), and the in-flux skip
+ *    must spare a line with a fill in flight — and only that line;
  *  - FaultPlan JSON parsing, FaultInjector determinism, and the
  *    deriveSeed() chain.
  */
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "coherence/auditor.hh"
@@ -350,6 +353,56 @@ TEST(Auditor, CatchesDirectoryEntryInSwccOnlyMode)
             mem::Addr base = runtime::Layout::incHeapBase;
             chip.bank(chip.map().bankOf(base)).directory().insert(base);
         });
+}
+
+// --- In-flux skip ----------------------------------------------------
+
+/** A line may be mid-transition while any cluster has a fill for it in
+ *  flight: the auditor must skip it, but only it. */
+TEST(Auditor, SkipsLinesWithAFillInFlightAndOnlyThose)
+{
+    Rig r = runQuiesced(arch::CoherenceMode::Cohesion);
+    arch::Chip &chip = *r.chip;
+    // Two HWcc lines cached in cluster 0 but not in cluster 1: x gets a
+    // fill in flight from cluster 1, y stays idle.
+    std::vector<cache::Line *> lines;
+    chip.cluster(0).l2().forEachValid([&](cache::Line &l) {
+        if (!l.incoherent && !chip.cluster(1).l2().probe(l.base))
+            lines.push_back(&l);
+    });
+    ASSERT_GE(lines.size(), 2u);
+    cache::Line &x = *lines[0];
+    cache::Line &y = *lines[1];
+
+    const unsigned core = chip.config().coresPerCluster; // cluster 1
+    sim::CoTask fill = [](runtime::Ctx ctx, mem::Addr a) -> sim::CoTask {
+        co_await ctx.load32(a);
+    }(runtime::Ctx(*r.rt, chip.core(core)), x.base);
+    fill.start(); // the miss allocates the MSHR; nothing is delivered
+    ASSERT_EQ(chip.cluster(1).mshrCount(), 1u);
+
+    // dirty-subset-valid on x: skipped, counted, no throw.
+    auto corrupt = [](cache::Line &l) {
+        l.validMask &= mem::WordMask(~1u);
+        l.dirtyMask |= 1;
+    };
+    corrupt(x);
+    const std::uint64_t skipped = chip.auditor()->linesSkipped();
+    EXPECT_NO_THROW(chip.auditNow());
+    EXPECT_GT(chip.auditor()->linesSkipped(), skipped);
+
+    // The same corruption on y, which has no MSHR anywhere, is caught.
+    corrupt(y);
+    try {
+        chip.auditNow();
+        FAIL() << "auditor skipped a line with no transaction in flight";
+    } catch (const coherence::AuditError &e) {
+        EXPECT_EQ(e.invariant(), "dirty-subset-valid") << e.what();
+        std::ostringstream y_hex;
+        y_hex << "line 0x" << std::hex << y.base;
+        EXPECT_NE(std::string(e.what()).find(y_hex.str()), std::string::npos)
+            << e.what();
+    }
 }
 
 // --- Deadlock watchdog ---------------------------------------------

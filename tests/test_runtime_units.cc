@@ -94,14 +94,56 @@ TEST(FineTable, PokePeekRoundTrip)
 
 TEST(FineTable, PokeRegionCoversExactly)
 {
-    mem::BackingStore store;
+    mem::BackingStore store, oracle;
     mem::AddressMap map(8, 2, 0xF000'0000);
-    cohesion::fine_table::pokeRegion(store, map, 0x6000'0000, 4096, true);
-    EXPECT_TRUE(cohesion::fine_table::peekBit(store, map, 0x6000'0000));
-    EXPECT_TRUE(cohesion::fine_table::peekBit(store, map, 0x6000'0FE0));
-    EXPECT_FALSE(cohesion::fine_table::peekBit(store, map, 0x6000'1000));
-    EXPECT_FALSE(
-        cohesion::fine_table::peekBit(store, map, 0x5FFF'FFE0));
+    // pokeRegion writes one table word per 1 KB block; the reference
+    // writes one pokeBit per covered line.
+    auto poke = [&](mem::Addr start, mem::Addr end, bool swcc) {
+        cohesion::fine_table::pokeRegion(store, map, start, end - start,
+                                         swcc);
+        for (mem::Addr a = mem::lineBase(start); a < end;
+             a += mem::lineBytes)
+            cohesion::fine_table::pokeBit(oracle, map, a, swcc);
+    };
+    auto bit = [&](mem::Addr a) {
+        return cohesion::fine_table::peekBit(store, map, a);
+    };
+
+    poke(0x6000'0000, 0x6000'1000, true);
+    EXPECT_TRUE(bit(0x6000'0000));
+    EXPECT_TRUE(bit(0x6000'0FE0));
+    EXPECT_FALSE(bit(0x6000'1000));
+    EXPECT_FALSE(bit(0x5FFF'FFE0));
+
+    constexpr mem::Addr kBlock = 1024;
+    const mem::Addr base = 0x6000'4000; // block aligned
+    // Mid-line start in block 0 to a mid-block end in block 4.
+    poke(base + 3 * 32 + 12, base + 4 * kBlock + 17 * 32 + 5, true);
+    // A clear inside the now fully set block 2.
+    poke(base + 2 * kBlock + 5 * 32 + 20, base + 2 * kBlock + 14 * 32 + 8,
+         false);
+    // A few lines in the interior of an untouched block.
+    poke(base + 8 * kBlock + 7 * 32, base + 8 * kBlock + 10 * 32, true);
+
+    for (mem::Addr blk = 0x6000'0000 - kBlock; blk < base + 10 * kBlock;
+         blk += kBlock) {
+        mem::Addr w = map.tableWordAddr(blk);
+        EXPECT_EQ(store.readT<std::uint32_t>(w),
+                  oracle.readT<std::uint32_t>(w))
+            << "block 0x" << std::hex << blk;
+    }
+    // Neighbours of every edge keep their bits.
+    EXPECT_FALSE(bit(base + 2 * 32));
+    EXPECT_TRUE(bit(base + 3 * 32));
+    EXPECT_TRUE(bit(base + 4 * kBlock + 17 * 32));
+    EXPECT_FALSE(bit(base + 4 * kBlock + 18 * 32));
+    EXPECT_TRUE(bit(base + 2 * kBlock + 4 * 32));
+    EXPECT_FALSE(bit(base + 2 * kBlock + 5 * 32));
+    EXPECT_FALSE(bit(base + 2 * kBlock + 14 * 32));
+    EXPECT_TRUE(bit(base + 2 * kBlock + 15 * 32));
+    EXPECT_FALSE(bit(base + 8 * kBlock + 6 * 32));
+    EXPECT_TRUE(bit(base + 8 * kBlock + 9 * 32));
+    EXPECT_FALSE(bit(base + 8 * kBlock + 10 * 32));
 }
 
 TEST(Layout, SegmentClassification)
