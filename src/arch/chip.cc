@@ -25,29 +25,15 @@ constexpr unsigned maxDropRetransmits = 8;
 constexpr sim::Tick dropBackoffBase = 16;
 constexpr sim::Tick dropBackoffCap = 2048;
 
-/** Clamp the shard count to the schedulable components: clusters plus
- *  DRAM-channel bank groups — more shards than that would only idle. */
-MachineConfig
-withClampedShards(MachineConfig c)
-{
-    unsigned most = c.numClusters + c.numChannels;
-    if (c.shards < 1)
-        c.shards = 1;
-    if (c.shards > most)
-        c.shards = most;
-    return c;
-}
-
 /**
- * Clamp shards and resolve the coherence-backend name (throws
- * std::runtime_error listing the registered backends if unknown). An
- * explicit MSI variant forces the matching sharer representation so
- * `--backend dir4b` alone selects limited pointers.
+ * Resolve the coherence-backend name (throws std::runtime_error
+ * listing the registered backends if unknown). An explicit MSI variant
+ * forces the matching sharer representation so `--backend dir4b` alone
+ * selects limited pointers.
  */
 MachineConfig
 normalized(MachineConfig c)
 {
-    c = withClampedShards(std::move(c));
     c.backend = coherence::resolveBackendName(c.backend, c.directory);
     if (c.backend == "dir4b")
         c.directory.sharerKind = coherence::SharerKind::LimitedPtr;
@@ -56,25 +42,6 @@ normalized(MachineConfig c)
     return c;
 }
 
-std::vector<std::unique_ptr<sim::EventQueue>>
-makeQueues(unsigned n)
-{
-    std::vector<std::unique_ptr<sim::EventQueue>> qs;
-    qs.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        qs.push_back(std::make_unique<sim::EventQueue>());
-    return qs;
-}
-
-/** Canonical merge order for staged flight-recorder records, used
- *  under stable_sort. Key is (tick, comp) only: every cluster/bank
- *  component is pinned to one shard, so its staged records already sit
- *  in its deterministic processing order for every shard count, and
- *  stability preserves that causal order (a full-content key would
- *  reorder e.g. a TransBegin after the ProbeSends it caused at the
- *  same tick). compChip records alone are emitted from whichever shard
- *  holds the sender/receiver, so they get a full-content tiebreak to
- *  stay shard-count invariant. */
 /** Class-bucket namer handed to the accountant (sim/ cannot name
  *  arch::MsgClass, so the binding happens here). */
 const char *
@@ -83,6 +50,14 @@ latClassName(unsigned c)
     return msgClassName(static_cast<MsgClass>(c));
 }
 
+/** Canonical merge order for staged flight-recorder records, used
+ *  under stable_sort. Key is (tick, comp) only for cluster and bank
+ *  records: stability keeps each component's records in its causal
+ *  processing order (a full-content key would reorder e.g. a
+ *  TransBegin after the ProbeSends it caused at the same tick).
+ *  compChip records (fabric drops and retransmits) get a full-content
+ *  tiebreak. The recorder dump, the line profiler's chip.lines.* stats
+ *  and every snapshot carrying the ring observe this order. */
 bool
 recordBefore(const sim::FlightRecorder::Record &x,
              const sim::FlightRecorder::Record &y)
@@ -109,47 +84,27 @@ recordBefore(const sim::FlightRecorder::Record &x,
 Chip::Chip(const MachineConfig &config, mem::Addr table_base)
     : _config(normalized(config)),
       _backendTraits(*coherence::backendTraits(_config.backend)),
-      _eqs(makeQueues(_config.shards)),
-      _router(_config.shards,
-              _config.numClusters + _config.numL3Banks + 1),
-      _tracer(*_eqs[0]),
+      _router(_config.numClusters + _config.numL3Banks + 1),
+      _tracer(_eq),
       _map(_config.numL3Banks, _config.numChannels, table_base),
       _dram(_map, _config.dram), _fabric(_config),
-      _timeSeries(*_eqs[0]), _latLanes(_config.shards),
-      _recStage(_config.shards)
+      _timeSeries(_eq)
 {
     _faults.configure(_config.faults, _config.numClusters,
                       _config.numL3Banks);
-    _latAcc.configure(numMsgClasses, _config.shards);
-    // Components capture queue references at construction (e.g. the
-    // bank line-lock tables); bind them to their home shard's queue.
-    for (unsigned c = 0; c < _config.numClusters; ++c) {
-        sim::ShardGuard g(shardOfCluster(c));
+    _latAcc.configure(numMsgClasses);
+    for (unsigned c = 0; c < _config.numClusters; ++c)
         _clusters.push_back(std::make_unique<Cluster>(*this, c));
-    }
-    for (unsigned b = 0; b < _config.numL3Banks; ++b) {
-        sim::ShardGuard g(shardOfBank(b));
+    for (unsigned b = 0; b < _config.numL3Banks; ++b)
         _banks.push_back(std::make_unique<L3Bank>(*this, b));
-    }
-    _crew = std::make_unique<sim::ShardCrew>(_config.shards);
 }
 
 Chip::~Chip() = default;
 
-std::uint64_t
-Chip::totalEventsRun() const
-{
-    std::uint64_t n = 0;
-    for (const auto &q : _eqs)
-        n += q->eventsRun();
-    return n;
-}
-
 void
-Chip::postBarrierWake(unsigned cluster, sim::Tick when, sim::Event cb)
+Chip::postBarrierWake(sim::Tick when, sim::Event cb)
 {
-    _router.post(srcKeyBarrier(), shardOfCluster(cluster), when,
-                 std::move(cb));
+    _router.post(srcKeyBarrier(), when, std::move(cb));
 }
 
 void
@@ -220,7 +175,7 @@ Chip::routeRequest(unsigned cluster_id, unsigned bank_id, Request req,
                    sim::Tick nominal, sim::Tick depart, unsigned drops)
 {
     _router.post(
-        srcKeyCluster(cluster_id), shardOfBank(bank_id), nominal,
+        srcKeyCluster(cluster_id), nominal,
         [this, bank_id, req, nominal, depart, drops]() {
             sim::Tick accept = _fabric.c2bAccept(bank_id, nominal, depart);
             auto deliver = [this, bank_id, req, drops]() {
@@ -288,8 +243,8 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
     auto route = [this, cluster_id, resp, depart](sim::Tick at,
                                                   unsigned n_drops) {
         _router.post(
-            srcKeyBank(_map.bankOf(resp.addr)), shardOfCluster(cluster_id),
-            at, [this, cluster_id, resp, at, depart, n_drops]() {
+            srcKeyBank(_map.bankOf(resp.addr)), at,
+            [this, cluster_id, resp, at, depart, n_drops]() {
                 sim::Tick accept = _fabric.b2cAccept(cluster_id, at, depart);
                 auto deliver = [this, cluster_id, resp, n_drops]() {
                     for (unsigned i = 0; i < n_drops; ++i) {
@@ -336,11 +291,11 @@ Chip::sendProbe(unsigned bank_id, unsigned cluster_id, ProbeType type,
         nominal += _faults.delayTicks(sim::FaultSite::FabricB2CDelay);
     nominal = _fabric.orderB2C(bank_id, cluster_id, nominal);
     _router.post(
-        srcKeyBank(bank_id), shardOfCluster(cluster_id), nominal,
+        srcKeyBank(bank_id), nominal,
         [this, bank_id, cluster_id, type, addr, txn, depart, nominal,
          done = std::move(done)]() mutable {
             sim::Tick accept = _fabric.b2cAccept(cluster_id, nominal, depart);
-            _latLanes[sim::tlsShard].probe.sample(accept - depart);
+            _probeLatency.sample(accept - depart);
             auto apply = [this, bank_id, cluster_id, type, addr, txn,
                           done = std::move(done)]() mutable {
                 probeArrived(bank_id, cluster_id, type, addr, txn,
@@ -373,7 +328,7 @@ Chip::probeArrived(unsigned bank_id, unsigned cluster_id, ProbeType type,
         back += _faults.delayTicks(sim::FaultSite::FabricC2BDelay);
     back = _fabric.orderC2B(cluster_id, bank_id, back);
     _router.post(
-        srcKeyCluster(cluster_id), shardOfBank(bank_id), back,
+        srcKeyCluster(cluster_id), back,
         [this, bank_id, cluster_id, type, addr, txn, r, back, depart,
          done = std::move(done)]() mutable {
             sim::Tick accept = _fabric.c2bAccept(bank_id, back, depart);
@@ -671,10 +626,7 @@ Chip::enableOccupancySampling(sim::Tick period)
     // time-series consumers should not see new columns by default.
     if (sim::HostProfiler::enabled()) {
         _timeSeries.add("host.eq.pending", [this]() {
-            double n = 0;
-            for (const auto &q : _eqs)
-                n += static_cast<double>(q->pending());
-            return n;
+            return static_cast<double>(_eq.pending());
         });
         _timeSeries.add("host.mshr.occupancy", [this]() {
             double n = 0;
@@ -714,12 +666,6 @@ Chip::updateRecAny()
 {
     _recSlow = _profiler != nullptr || _watchLine != ~mem::Addr(0);
     _recAny = _recorder.enabled() || _recSlow;
-    // Staging is unconditional whenever anything records: the ring (and
-    // with it recorder dumps and machine snapshots) must hold the same
-    // byte sequence for every shard count, and only the canonical
-    // barrier merge delivers that — at one shard the ring would
-    // otherwise fill in execution order, which the merge key is not.
-    _recStaged = _recAny;
 }
 
 void
@@ -736,19 +682,10 @@ Chip::recImpl(const sim::FlightRecorder::Record &r)
 void
 Chip::drainRecStage()
 {
-    std::size_t total = 0;
-    for (const auto &v : _recStage)
-        total += v.size();
-    if (!total)
+    if (_recStage.empty())
         return;
-    std::vector<sim::FlightRecorder::Record> batch;
-    batch.reserve(total);
-    for (auto &v : _recStage) {
-        batch.insert(batch.end(), v.begin(), v.end());
-        v.clear();
-    }
-    std::stable_sort(batch.begin(), batch.end(), recordBefore);
-    for (const sim::FlightRecorder::Record &r : batch) {
+    std::stable_sort(_recStage.begin(), _recStage.end(), recordBefore);
+    for (const sim::FlightRecorder::Record &r : _recStage) {
         if (_recorder.enabled()) {
             _recorder.record(r.tick,
                              static_cast<sim::FlightRecorder::Ev>(r.kind),
@@ -757,6 +694,7 @@ Chip::drainRecStage()
         if (_recSlow)
             recImpl(r);
     }
+    _recStage.clear();
 }
 
 std::string
@@ -816,10 +754,6 @@ Chip::postMortemHistory() const
 void
 Chip::attachJson(sim::TraceJsonWriter *w)
 {
-    if (w && _config.shards > 1) {
-        warn("JSON tracing is not supported with --shards > 1; ignoring");
-        return;
-    }
     _tracer.setJson(w);
     if (!w) {
         _timeSeries.setSink({});
@@ -836,45 +770,6 @@ Chip::attachJson(sim::TraceJsonWriter *w)
         [w](sim::Tick t, const std::string &name, double v) {
             w->counter(t, name, v);
         });
-}
-
-void
-Chip::degradeDebugSinks()
-{
-    if (_config.shards <= 1)
-        return;
-    if (_tracer.mask() != sim::Category::None) {
-        warn("text tracing is not supported with --shards > 1; disabling");
-        _tracer.setMask(sim::Category::None);
-    }
-}
-
-const sim::Histogram &
-Chip::reqLatency(MsgClass cls) const
-{
-    unsigned c = static_cast<unsigned>(cls);
-    _reqLatencyFolded[c].reset();
-    for (const LatencyLanes &l : _latLanes)
-        _reqLatencyFolded[c].merge(l.req[c]);
-    return _reqLatencyFolded[c];
-}
-
-const sim::Histogram &
-Chip::respLatency() const
-{
-    _respLatencyFolded.reset();
-    for (const LatencyLanes &l : _latLanes)
-        _respLatencyFolded.merge(l.resp);
-    return _respLatencyFolded;
-}
-
-const sim::Histogram &
-Chip::probeLatency() const
-{
-    _probeLatencyFolded.reset();
-    for (const LatencyLanes &l : _latLanes)
-        _probeLatencyFolded.merge(l.probe);
-    return _probeLatencyFolded;
 }
 
 void
@@ -942,16 +837,10 @@ Chip::checkpointState(sim::Serializer &ser) const
     const_cast<Chip *>(this)->drainRecStage();
     if (!_router.empty()) {
         throw sim::SnapshotError(
-            "checkpoint with cross-shard messages in flight");
+            "checkpoint with routed messages in flight");
     }
-    for (const auto &q : _eqs) {
-        if (!q->empty())
-            throw sim::SnapshotError("checkpoint with events pending");
-        if (q->now() != _eqs[0]->now()) {
-            throw sim::SnapshotError(
-                "checkpoint with unsynchronized shard clocks");
-        }
-    }
+    if (!_eq.empty())
+        throw sim::SnapshotError("checkpoint with events pending");
     for (const auto &b : _banks) {
         // Finished coroutine frames linger in the running list until
         // the next request arrives; they are not in-flight work.
@@ -970,27 +859,18 @@ Chip::checkpointState(sim::Serializer &ser) const
 
     // Geometry fingerprint: a snapshot only restores into a machine
     // built from the same topology (cache shapes are re-validated
-    // per-array by their own hooks). The shard count is deliberately
-    // absent — snapshots are shard-count-independent.
+    // per-array by their own hooks).
     ser.u32(_config.numClusters);
     ser.u32(_config.coresPerCluster);
     ser.u32(_config.numL3Banks);
     ser.u32(_config.numChannels);
     ser.u8(static_cast<std::uint8_t>(_config.mode));
 
-    // Canonical queue record: same wire shape as one queue's
-    // (now, eventsRun, nextSeq) triple.
-    ser.u64(_eqs[0]->now());
-    ser.u64(totalEventsRun());
-    // The summed sequence origin is shard-count-invariant (every
-    // schedule increments exactly one queue) and >= any per-queue
-    // value, so restoring it into every queue preserves tie-break
-    // order; a per-queue max would leak the shard count into the
-    // snapshot bytes.
-    std::uint64_t seq = 0;
-    for (const auto &q : _eqs)
-        seq += q->nextSeq();
-    ser.u64(seq);
+    // Queue record: (now, eventsRun, nextSeq). The sequence origin
+    // keeps post-restore same-tick tie-breaks identical.
+    ser.u64(_eq.now());
+    ser.u64(_eq.eventsRun());
+    ser.u64(_eq.nextSeq());
 
     _store.checkpointState(ser);
     _dram.checkpointState(ser);
@@ -1043,13 +923,10 @@ Chip::restoreState(sim::Deserializer &des)
             "snapshot coherence mode does not match this configuration");
     }
 
-    // Every queue adopts the canonical tick and sequence origin; the
-    // event total lands on queue 0 so the sum is preserved.
     sim::Tick t = des.u64();
     std::uint64_t events = des.u64();
     std::uint64_t seq = des.u64();
-    for (unsigned s = 0; s < _eqs.size(); ++s)
-        _eqs[s]->adopt(t, seq, s == 0 ? events : 0);
+    _eq.adopt(t, seq, events);
 
     _store.restoreState(des);
     _dram.restoreState(des);
@@ -1062,16 +939,10 @@ Chip::restoreState(sim::Deserializer &des)
         b->restoreState(des);
 
     des.tag("chip-stats");
-    for (auto &l : _latLanes) {
-        for (auto &h : l.req)
-            h.reset();
-        l.resp.reset();
-        l.probe.reset();
-    }
-    for (unsigned c = 0; c < numMsgClasses; ++c)
-        _latLanes[0].req[c].restoreState(des);
-    _latLanes[0].resp.restoreState(des);
-    _latLanes[0].probe.restoreState(des);
+    for (sim::Histogram &h : _reqLatency)
+        h.restoreState(des);
+    _respLatency.restoreState(des);
+    _probeLatency.restoreState(des);
     for (auto &c : _reqRetries)
         c.store(des.u64(), std::memory_order_relaxed);
     _respRetries.store(des.u64(), std::memory_order_relaxed);
@@ -1101,18 +972,9 @@ Chip::progress() const
     return p;
 }
 
-void
-Chip::runShardWindow(unsigned shard, sim::Tick stop)
-{
-    sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::EqDispatch);
-    _router.flush(shard, stop, *_eqs[shard]);
-    _eqs[shard]->run(stop);
-}
-
 sim::Tick
 Chip::runUntilQuiescent()
 {
-    degradeDebugSinks();
     const sim::Tick limit = _config.maxCycles;
     const sim::Tick window =
         _config.watchdogWindow ? std::min(_config.watchdogWindow, limit)
@@ -1125,11 +987,11 @@ Chip::runUntilQuiescent()
     // instead survive quiescent gaps — sampling resumes when new work
     // arrives in a later runUntilQuiescent call. Every cadence tick is
     // a pure function of the simulation, so the window boundaries (and
-    // with them every event order) are shard-count-invariant.
+    // with them the router flushes and recorder merges) are too.
     const sim::Tick audit_period = _auditor ? _auditPeriod : 0;
     const sim::Tick pump_period =
         pumpEligible() ? _faults.plan().pumpPeriod : 0;
-    const sim::Tick entry = _eqs[0]->now();
+    const sim::Tick entry = _eq.now();
     sim::Tick next_audit =
         audit_period ? entry + audit_period : sim::maxTick;
     sim::Tick next_pump = pump_period ? entry + pump_period : sim::maxTick;
@@ -1137,7 +999,7 @@ Chip::runUntilQuiescent()
     Progress last = progress();
 
     // Conservative lookahead: a window [B, B + horizon] is safe because
-    // every cross-component message departs at >= B and arrives at
+    // every routed message departs at >= B and arrives at
     // >= B + lookahead + 1 — strictly beyond the window.
     const sim::Tick horizon =
         _fabric.lookahead() ? _fabric.lookahead() - 1 : 0;
@@ -1149,23 +1011,9 @@ Chip::runUntilQuiescent()
     host_clock::time_point last_emit = host_clock::now();
     unsigned beat_countdown = 0;
 
-    auto run_windows = [&](sim::Tick stop) {
-        if (_config.shards == 1) {
-            runShardWindow(0, stop);
-            return;
-        }
-        sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::EqDispatch);
-        _crew->runWindow([this, stop](unsigned s) {
-            runShardWindow(s, stop);
-        });
-    };
-
     while (true) {
         sim::HostProfiler::Scope pick(sim::HostProfiler::Phase::Barrier);
-        _router.collect();
-        sim::Tick bound = _router.minInboxHead();
-        for (const auto &q : _eqs)
-            bound = std::min(bound, q->nextEventTick());
+        sim::Tick bound = std::min(_router.head(), _eq.nextEventTick());
         if (bound == sim::maxTick)
             break; // quiescent
         if (bound > limit) {
@@ -1184,9 +1032,14 @@ Chip::runUntilQuiescent()
             std::min(std::min(next_audit, next_pump), next_sample));
         pick.close();
 
-        run_windows(stop);
+        {
+            sim::HostProfiler::Scope hp(
+                sim::HostProfiler::Phase::EqDispatch);
+            _router.flush(stop, _eq);
+            _eq.run(stop);
+        }
 
-        // --- Window barrier (single-threaded) ------------------------
+        // --- Window barrier ------------------------------------------
         sim::HostProfiler::Scope drain(sim::HostProfiler::Phase::Barrier);
         drainRecStage();
         bool cadence_due = stop >= next_audit || stop >= next_pump ||
@@ -1194,9 +1047,7 @@ Chip::runUntilQuiescent()
         if (cadence_due) {
             // Legal: every event <= stop ran in the window, and no
             // pending message or event is <= stop any more.
-            _router.collect();
-            for (auto &q : _eqs)
-                q->advanceTo(stop);
+            _eq.advanceTo(stop);
             // The cadences below time themselves.
             drain.close();
             if (stop >= next_audit) {
@@ -1246,21 +1097,14 @@ Chip::runUntilQuiescent()
         }
     }
 
-    // End normalization: every queue's clock lands on the last fired
-    // event, so a later run (or a checkpoint) continues from one
-    // well-defined point regardless of the shard count.
-    sim::Tick final_tick = entry;
-    for (const auto &q : _eqs) {
-        // A cadence barrier may already have advanced a queue's clock
-        // past its last fired event (quiescence is only detected one
-        // iteration later), so the final tick covers both. The stop
-        // sequence is itself shard-count-invariant, so this stays
-        // bit-identical across shard counts.
-        final_tick = std::max(final_tick,
-                              std::max(q->lastFired(), q->now()));
-    }
-    for (auto &q : _eqs)
-        q->advanceTo(final_tick);
+    // End normalization: the clock lands on the last fired event, so a
+    // later run (or a checkpoint) continues from one well-defined
+    // point. A cadence barrier may already have advanced the clock
+    // past that event (quiescence is only detected one iteration
+    // later), so the final tick covers both.
+    sim::Tick final_tick =
+        std::max(entry, std::max(_eq.lastFired(), _eq.now()));
+    _eq.advanceTo(final_tick);
     drainRecStage();
     // The final event may land exactly on the sampling cadence.
     if (final_tick >= _timeSeries.nextSampleAt()) {

@@ -6,15 +6,13 @@
  * debug access for workload setup/verification and the directory
  * occupancy sampler used by Fig. 9c.
  *
- * Sharded execution (DESIGN.md §13): the chip owns one calendar queue
- * per shard and partitions components over them — cluster c on shard
- * c % S, bank b co-sharded with its DRAM channel on shard
- * channelOf(b) % S. A persistent ShardCrew advances all queues in
- * lockstep windows bounded by conservative lookahead over the fabric
- * latency; every cross-component message (requests, responses, both
- * probe legs, barrier wakeups) travels through the ShardRouter in a
- * canonical (tick, source, sequence) order that does not depend on the
- * shard count, so `--shards N` is bit-identical to `--shards 1`.
+ * Execution (DESIGN.md §13): one calendar queue, driven by the calling
+ * thread in windows bounded by conservative lookahead over the fabric
+ * latency. Every cross-component message (requests, responses, both
+ * probe legs, barrier wakeups) travels through the sim::Router in a
+ * canonical (tick, source, sequence) order; that order, the window
+ * cadences and the staged flight-recorder merge together define the
+ * schedule the committed goldens pin.
  */
 
 #ifndef COHESION_ARCH_CHIP_HH
@@ -40,7 +38,7 @@
 #include "sim/fault.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/latency_accounting.hh"
-#include "sim/shard.hh"
+#include "sim/router.hh"
 #include "sim/stat_registry.hh"
 #include "sim/timeseries.hh"
 #include "sim/trace.hh"
@@ -86,11 +84,9 @@ class Chip
 
     const MachineConfig &config() const { return _config; }
 
-    /** The executing shard's event queue. Components always schedule
-     *  into the queue of the shard they run on, which the window loop
-     *  (and the construction/setup ShardGuards) keeps equal to their
-     *  home shard; cross-shard delivery goes through the router. */
-    sim::EventQueue &eq() { return *_eqs[sim::tlsShard]; }
+    /** The chip's event queue. Cross-component delivery goes through
+     *  the router, never straight into this queue. */
+    sim::EventQueue &eq() { return _eq; }
 
     mem::AddressMap &map() { return _map; }
     mem::BackingStore &store() { return _store; }
@@ -136,32 +132,16 @@ class Chip
     /** Auditor applicability mask for the resolved backend. */
     std::uint32_t auditMask() const { return _backendTraits.auditMask; }
 
-    // --- Sharding ---------------------------------------------------------
-
-    /** Effective shard count (the config value, clamped). */
-    unsigned numShards() const { return _config.shards; }
-
-    unsigned shardOfCluster(unsigned c) const { return c % _config.shards; }
-
-    /** Banks are co-sharded with their DRAM channel so each channel's
-     *  timing state has exactly one writing shard (channelOf is a pure
-     *  function of the bank index). */
-    unsigned
-    shardOfBank(unsigned b) const
-    {
-        return (b & (_config.numChannels - 1)) % _config.shards;
-    }
-
-    /** Events executed across all shard queues. */
-    std::uint64_t totalEventsRun() const;
+    /** Events executed so far. */
+    std::uint64_t totalEventsRun() const { return _eq.eventsRun(); }
 
     /** The run's final tick. Valid at quiescence (runUntilQuiescent
-     *  normalizes every queue's clock to the last fired event). */
-    sim::Tick finalTick() const { return _eqs[0]->now(); }
+     *  normalizes the queue's clock to the last fired event). */
+    sim::Tick finalTick() const { return _eq.now(); }
 
-    /** Cross-shard wakeup used by the runtime barrier: run @p cb on
-     *  @p cluster's home shard at @p when (canonical router order). */
-    void postBarrierWake(unsigned cluster, sim::Tick when, sim::Event cb);
+    /** Wakeup used by the runtime barrier: run @p cb at @p when, in
+     *  canonical router order. */
+    void postBarrierWake(sim::Tick when, sim::Event cb);
 
     // --- Messaging helpers (used by clusters and banks) -----------------
 
@@ -170,7 +150,7 @@ class Chip
      * All L2->L3 fault sites (drop/duplicate/delay) live here; dropped
      * messages are retransmitted with bounded exponential backoff and
      * per-channel FIFO is preserved via the fabric's delivery floors.
-     * Runs on the cluster's shard; delivery crosses via the router.
+     * Delivery goes through the router.
      */
     void deliverRequest(unsigned cluster, Request req, unsigned data_words,
                         sim::Tick depart);
@@ -287,23 +267,23 @@ class Chip
     // --- Observability ---------------------------------------------------
 
     /** Latency of a request/probe-response message of class @p cls,
-     *  measured depart-to-accept through the fabric. Sampled on the
-     *  receiving shard into a per-shard lane. */
+     *  measured depart-to-accept through the fabric. */
     void
     sampleReqLatency(MsgClass cls, sim::Tick lat)
     {
-        _latLanes[sim::tlsShard].req[static_cast<unsigned>(cls)].sample(lat);
+        _reqLatency[static_cast<unsigned>(cls)].sample(lat);
     }
 
-    void
-    sampleRespLatency(sim::Tick lat)
+    void sampleRespLatency(sim::Tick lat) { _respLatency.sample(lat); }
+
+    const sim::Histogram &
+    reqLatency(MsgClass cls) const
     {
-        _latLanes[sim::tlsShard].resp.sample(lat);
+        return _reqLatency[static_cast<unsigned>(cls)];
     }
 
-    const sim::Histogram &reqLatency(MsgClass cls) const;
-    const sim::Histogram &respLatency() const;
-    const sim::Histogram &probeLatency() const;
+    const sim::Histogram &respLatency() const { return _respLatency; }
+    const sim::Histogram &probeLatency() const { return _probeLatency; }
 
     /**
      * Turn on per-transaction cycle accounting (chip.latency.*; see
@@ -342,12 +322,10 @@ class Chip
      * Emit one protocol event. The disabled path is this single byte
      * test, so instrumented hot paths stay effectively free when
      * neither the recorder, the profiler nor a watched line is active.
-     * The direct path (one shard, no profiler/watch) inlines the
-     * masked ring store here. Sharded runs (and any run feeding the
-     * line profiler or a watch line) instead *stage* records per shard
-     * and merge them at every window barrier in a canonical
-     * content-sorted order, so the ring, the profiler and the watch
-     * log observe the same stream for every shard count.
+     * Otherwise the record is *staged* and merged at the next window
+     * barrier in canonical (tick, component) order (drainRecStage), so
+     * the ring, the profiler and the watch log all observe that order,
+     * not execution order.
      */
     void
     rec(sim::FlightRecorder::Ev kind, std::uint16_t comp, mem::Addr line,
@@ -355,20 +333,15 @@ class Chip
     {
         if (!_recAny)
             return;
-        if (_recStaged) {
-            sim::FlightRecorder::Record r;
-            r.tick = eq().now();
-            r.line = line;
-            r.txn = txn;
-            r.comp = comp;
-            r.kind = static_cast<std::uint8_t>(kind);
-            r.a = a;
-            r.b = b;
-            _recStage[sim::tlsShard].push_back(r);
-            return;
-        }
-        if (_recorder.enabled())
-            _recorder.record(eq().now(), kind, comp, line, txn, a, b);
+        sim::FlightRecorder::Record r;
+        r.tick = _eq.now();
+        r.line = line;
+        r.txn = txn;
+        r.comp = comp;
+        r.kind = static_cast<std::uint8_t>(kind);
+        r.a = a;
+        r.b = b;
+        _recStage.push_back(r);
     }
 
     /** Decoded recorder history for one line (newest @p max_records),
@@ -405,7 +378,6 @@ class Chip
      * Attach (or detach, with nullptr) a structured trace sink: names
      * the per-component tracks and mirrors time-series samples as
      * counter events. The writer is not owned and must outlive the run.
-     * Ignored (with a warning) when the chip runs more than one shard.
      */
     void attachJson(sim::TraceJsonWriter *w);
 
@@ -456,19 +428,19 @@ class Chip
     }
 
     /**
-     * Run until every shard queue (and the router) drains. Execution
-     * proceeds in conservative-lookahead windows: each window runs all
-     * shards in parallel up to
+     * Run until the queue and the router drain. Execution proceeds in
+     * conservative-lookahead windows: each window flushes the router
+     * messages due inside it and runs the queue up to
      *   stop = min(B + netLatency - 1, next cadence tick, limits)
-     * where B is the earliest pending event/message anywhere — every
-     * cross-shard message arrives at least netLatency+1 past its
-     * departure, so nothing scheduled inside a window can land inside
-     * it. Audit passes, the fault pump, the sampler, the watchdog and
-     * the heartbeat all run at the single-threaded window barrier.
-     * Throws DeadlockError on stagnation or the maxCycles limit.
-     * @return final tick (the last fired event; every queue's clock is
-     * normalized to it, so a later run or checkpoint continues
-     * identically for any shard count).
+     * where B is the earliest pending event or message — every routed
+     * message arrives at least netLatency+1 past its departure, so
+     * nothing posted inside a window can land inside it. Audit passes,
+     * the fault pump, the sampler, the watchdog and the heartbeat all
+     * run at the window barrier. Throws DeadlockError on stagnation or
+     * the maxCycles limit.
+     * @return final tick (the last fired event; the queue's clock is
+     * normalized to it, so a later run or checkpoint continues from
+     * one well-defined point).
      */
     sim::Tick runUntilQuiescent();
 
@@ -479,14 +451,7 @@ class Chip
     std::uint64_t totalInstructions() const;
 
   private:
-    struct LatencyLanes
-    {
-        std::array<sim::Histogram, numMsgClasses> req;
-        sim::Histogram resp;
-        sim::Histogram probe;
-    };
-
-    /** Route one request (or its duplicate) to the bank's shard. */
+    /** Route one request (or its duplicate) to its bank. */
     void routeRequest(unsigned cluster_id, unsigned bank_id, Request req,
                       sim::Tick nominal, sim::Tick depart, unsigned drops);
 
@@ -501,17 +466,9 @@ class Chip
                       mem::Addr addr, std::uint32_t txn,
                       std::function<void(unsigned, const ProbeResult &)> done);
 
-    /** One parallel window on shard @p shard: flush due router
-     *  messages, then run the shard queue to @p stop. */
-    void runShardWindow(unsigned shard, sim::Tick stop);
-
-    /** Merge staged flight-recorder records (canonical content order)
-     *  into the ring / profiler / watch log. Barrier-only. */
+    /** Merge staged flight-recorder records (canonical order) into
+     *  the ring / profiler / watch log. Barrier-only. */
     void drainRecStage();
-
-    /** Disable debug sinks that are not shard-safe (text trace mask,
-     *  JSON writer) when running more than one shard. */
-    void degradeDebugSinks();
 
     void recImpl(const sim::FlightRecorder::Record &r);
     void updateRecAny();
@@ -543,10 +500,10 @@ class Chip
     };
     Progress progress() const;
 
-    MachineConfig _config; ///< shards clamped, backend resolved.
+    MachineConfig _config; ///< backend resolved.
     coherence::BackendTraits _backendTraits;
-    std::vector<std::unique_ptr<sim::EventQueue>> _eqs; ///< [shard]
-    sim::ShardRouter _router;
+    sim::EventQueue _eq;
+    sim::Router _router;
     sim::Tracer _tracer;
     mem::AddressMap _map;
     mem::BackingStore _store;
@@ -556,7 +513,6 @@ class Chip
     cohesion::CoarseRegionTable _coarseTable;
     std::vector<std::unique_ptr<Cluster>> _clusters;
     std::vector<std::unique_ptr<L3Bank>> _banks;
-    std::unique_ptr<sim::ShardCrew> _crew;
     std::unique_ptr<coherence::Auditor> _auditor;
     sim::Tick _auditPeriod = 0;
     std::atomic<std::uint64_t> _respDelivered{0};
@@ -575,27 +531,23 @@ class Chip
     double _lastOccupancyTotal = 0;
 
     sim::TimeSeries _timeSeries;
-    std::vector<LatencyLanes> _latLanes; ///< [shard]
-    /** Stage-blame aggregation (per-shard lanes inside); deliberately
-     *  not checkpointed — aggregates restart at restore (§15). */
+    std::array<sim::Histogram, numMsgClasses> _reqLatency;
+    sim::Histogram _respLatency;
+    sim::Histogram _probeLatency;
+    /** Stage-blame aggregation; deliberately not checkpointed —
+     *  aggregates restart at restore (§15). */
     sim::LatencyAccountant _latAcc;
-    /** Export scratch: the registry stores pointers, so folded views
-     *  must live here (refreshed by every accessor call). */
-    mutable std::array<sim::Histogram, numMsgClasses> _reqLatencyFolded;
-    mutable sim::Histogram _respLatencyFolded;
-    mutable sim::Histogram _probeLatencyFolded;
     mutable std::array<sim::Counter, numMsgClasses> _reqRetriesStat;
     mutable sim::Counter _respRetriesStat, _retryExhaustedStat,
         _respDeliveredStat;
     std::atomic<std::uint64_t> _traceIdSeq{0};
 
     sim::FlightRecorder _recorder;
-    std::vector<std::vector<sim::FlightRecorder::Record>> _recStage;
+    std::vector<sim::FlightRecorder::Record> _recStage;
     std::unique_ptr<coherence::LineProfiler> _profiler;
     mem::Addr _watchLine = ~mem::Addr(0);
-    bool _recAny = false;    ///< recorder, profiler or watch line active
-    bool _recSlow = false;   ///< profiler or watch line active
-    bool _recStaged = false; ///< staged (canonical-merge) mode active
+    bool _recAny = false;  ///< recorder, profiler or watch line active
+    bool _recSlow = false; ///< profiler or watch line active
     std::array<std::atomic<std::uint64_t>, numMsgClasses> _reqRetries{};
     std::atomic<std::uint64_t> _respRetries{0};
     std::atomic<std::uint64_t> _retryExhausted{0};
@@ -611,15 +563,12 @@ class Chip
 
     /**
      * Checkpoint hooks (tentpole of the crash-resilience work). Only
-     * legal at a quiescent point: every shard queue and the router
-     * must be drained and no bank transaction, cluster MSHR, or parked
-     * core may exist — coroutine frames cannot serialize. The queue
-     * record is one canonical (tick, events run, next seq) triple, so
-     * snapshots are shard-count-independent: a run checkpointed at
-     * --shards 4 restores bit-exactly into --shards 1 and vice versa.
-     * Callers should run a full audit pass first; checkpointState()
-     * enforces the structural conditions itself and throws
-     * sim::SnapshotError otherwise.
+     * legal at a quiescent point: the queue and the router must be
+     * drained and no bank transaction, cluster MSHR, or parked core
+     * may exist — coroutine frames cannot serialize. The queue record
+     * is its (tick, events run, next seq) triple. Callers should run a
+     * full audit pass first; checkpointState() enforces the structural
+     * conditions itself and throws sim::SnapshotError otherwise.
      */
     void checkpointState(sim::Serializer &ser) const;
     void restoreState(sim::Deserializer &des);

@@ -698,9 +698,8 @@ Cluster::recordLatency(const Response &resp)
     std::uint64_t sum = 0;
     for (std::uint32_t s : stages)
         sum += s;
-    _chip.latAcc().record(
-        sim::tlsShard, static_cast<unsigned>(msgClassFor(resp.type)),
-        resp.latMode, stages, e2e, sum == e2e);
+    _chip.latAcc().record(static_cast<unsigned>(msgClassFor(resp.type)),
+                          resp.latMode, stages, e2e, sum == e2e);
 }
 
 void

@@ -3,7 +3,6 @@
 #include "arch/chip.hh"
 #include "arch/cluster.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 
 namespace arch {
 
@@ -18,9 +17,6 @@ Core::Core(Cluster &cluster, unsigned global_id, unsigned local_id,
 MemOp
 Core::perform(const OpDesc &d)
 {
-    // Core activity runs on its cluster's shard; bind the thread-local
-    // shard id so every eq()/stat touch below lands on the right lane.
-    sim::ShardGuard g(_cluster.chip().shardOfCluster(_cluster.id()));
     switch (d.kind) {
       case OpDesc::Kind::Load:
         return _cluster.coreLoad(*this, d.addr, d.bytes);

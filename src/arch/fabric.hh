@@ -8,18 +8,14 @@
  * symmetric and constant, so point-to-point ordering is preserved —
  * the property the home-bank serialization argument relies on.
  *
- * Sharded execution splits each hop into a *send* half and an *accept*
- * half. The send half runs on the source component's shard and owns the
- * source-side next-free counters (_clusterUp/_bankOut) plus the
- * ordering floors; it returns the nominal arrival tick
- * (start + serialization + latency), which is always at least
- * netLatency+1 beyond the departure — the conservative-lookahead bound
- * the window scheduler relies on. The accept half runs on the
- * destination shard when the routed message is delivered and owns the
- * destination-side counters (_bankIn/_clusterDown). Every counter is
- * therefore written by exactly one shard; the byte counters are shared
- * commutative sums (relaxed atomics) and the delay histograms are
- * per-shard lanes folded on export.
+ * Each hop has a *send* half and an *accept* half. The send half runs
+ * at the source when the message departs and claims the source-side
+ * next-free counters (_clusterUp/_bankOut) plus the ordering floors; it
+ * returns the nominal arrival tick (start + serialization + latency),
+ * which is always at least netLatency+1 beyond the departure — the
+ * conservative-lookahead bound the window scheduler relies on. The
+ * accept half runs when the routed message is delivered and claims the
+ * destination-side counters (_bankIn/_clusterDown).
  */
 
 #ifndef COHESION_ARCH_FABRIC_HH
@@ -33,7 +29,6 @@
 
 #include "arch/machine_config.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 
@@ -51,9 +46,7 @@ class Fabric
           _bankIn(config.numL3Banks, 0),
           _bankOut(config.numL3Banks, 0),
           _c2bFloor(config.numClusters * config.numL3Banks, 0),
-          _b2cFloor(config.numClusters * config.numL3Banks, 0),
-          _delayUpLanes(std::max(1u, config.shards)),
-          _delayDownLanes(std::max(1u, config.shards))
+          _b2cFloor(config.numClusters * config.numL3Banks, 0)
     {}
 
     /** Minimum send-to-delivery distance of any hop: every nominal
@@ -62,8 +55,7 @@ class Fabric
 
     /**
      * Send half, cluster->bank: claim the cluster uplink and return
-     * the nominal arrival tick at the bank. Runs on the cluster's
-     * shard.
+     * the nominal arrival tick at the bank.
      */
     sim::Tick
     c2bSend(unsigned cluster, unsigned bytes, sim::Tick depart)
@@ -77,8 +69,8 @@ class Fabric
 
     /**
      * Accept half, cluster->bank: serialize on the bank's input port.
-     * Runs on the bank's shard at delivery; @p depart is carried from
-     * the send for the delay histogram.
+     * Runs at delivery; @p depart is carried from the send for the
+     * delay histogram.
      * @return the tick at which the message is available at the bank.
      */
     sim::Tick
@@ -86,12 +78,11 @@ class Fabric
     {
         sim::Tick accept = std::max(nominal, _bankIn[bank]);
         _bankIn[bank] = accept + 1; // one message accepted per cycle
-        _delayUpLanes[sim::tlsShard].sample(accept - depart);
+        _delayUp.sample(accept - depart);
         return accept;
     }
 
-    /** Send half, bank->cluster (see c2bSend). Runs on the bank's
-     *  shard. */
+    /** Send half, bank->cluster (see c2bSend). */
     sim::Tick
     b2cSend(unsigned bank, unsigned bytes, sim::Tick depart)
     {
@@ -102,20 +93,19 @@ class Fabric
         return start + ser + _latency;
     }
 
-    /** Accept half, bank->cluster (see c2bAccept). Runs on the
-     *  cluster's shard at delivery. */
+    /** Accept half, bank->cluster (see c2bAccept). */
     sim::Tick
     b2cAccept(unsigned cluster, sim::Tick nominal, sim::Tick depart)
     {
         sim::Tick accept = std::max(nominal, _clusterDown[cluster]);
         _clusterDown[cluster] = accept + 1;
-        _delayDownLanes[sim::tlsShard].sample(accept - depart);
+        _delayDown.sample(accept - depart);
         return accept;
     }
 
     /**
      * Per-(cluster,bank) delivery floors, applied to the nominal
-     * arrival on the *sender's* shard. Baseline timing already
+     * arrival at send time. Baseline timing already
      * delivers each channel's messages in send order (the next-free
      * counters are monotone), but fault injection perturbs arrival
      * ticks — a delayed or retransmitted message must not overtake a
@@ -157,21 +147,9 @@ class Fabric
         return _bytesDown.load(std::memory_order_relaxed);
     }
 
-    /** Depart-to-accept delay (serialization + hops + contention),
-     *  folded across shard lanes. */
-    const sim::Histogram &
-    delayUp() const
-    {
-        foldLanes(_delayUpLanes, _delayUpFolded);
-        return _delayUpFolded;
-    }
-
-    const sim::Histogram &
-    delayDown() const
-    {
-        foldLanes(_delayDownLanes, _delayDownFolded);
-        return _delayDownFolded;
-    }
+    /** Depart-to-accept delay (serialization + hops + contention). */
+    const sim::Histogram &delayUp() const { return _delayUp; }
+    const sim::Histogram &delayDown() const { return _delayDown; }
 
     void
     registerStats(sim::StatRegistry &reg, const std::string &prefix) const
@@ -187,9 +165,7 @@ class Fabric
     }
 
     /** Checkpoint hooks: every next-free counter and ordering floor
-     *  shapes post-restore arrival ticks, so all of them serialize.
-     *  Histogram lanes fold into one record, so the wire format is
-     *  shard-count-independent (restore refills lane 0). */
+     *  shapes post-restore arrival ticks, so all of them serialize. */
     void
     checkpointState(sim::Serializer &ser) const
     {
@@ -207,8 +183,8 @@ class Fabric
         vec(_b2cFloor);
         ser.u64(bytesUp());
         ser.u64(bytesDown());
-        delayUp().checkpointState(ser);
-        delayDown().checkpointState(ser);
+        _delayUp.checkpointState(ser);
+        _delayDown.checkpointState(ser);
     }
 
     void
@@ -229,12 +205,8 @@ class Fabric
         vec(_b2cFloor);
         _bytesUp.store(des.u64(), std::memory_order_relaxed);
         _bytesDown.store(des.u64(), std::memory_order_relaxed);
-        for (sim::Histogram &h : _delayUpLanes)
-            h.reset();
-        for (sim::Histogram &h : _delayDownLanes)
-            h.reset();
-        _delayUpLanes[0].restoreState(des);
-        _delayDownLanes[0].restoreState(des);
+        _delayUp.restoreState(des);
+        _delayDown.restoreState(des);
     }
 
   private:
@@ -242,15 +214,6 @@ class Fabric
     serialization(unsigned bytes) const
     {
         return (bytes + _bytesPerCycle - 1) / _bytesPerCycle;
-    }
-
-    static void
-    foldLanes(const std::vector<sim::Histogram> &lanes,
-              sim::Histogram &folded)
-    {
-        folded.reset();
-        for (const sim::Histogram &h : lanes)
-            folded.merge(h);
     }
 
     sim::Tick _latency;
@@ -263,10 +226,7 @@ class Fabric
     std::vector<sim::Tick> _c2bFloor;
     std::vector<sim::Tick> _b2cFloor;
     std::atomic<std::uint64_t> _bytesUp{0}, _bytesDown{0};
-    std::vector<sim::Histogram> _delayUpLanes, _delayDownLanes;
-    /** Export scratch: the registry stores pointers, so the folded
-     *  views must live here (refreshed by every accessor call). */
-    mutable sim::Histogram _delayUpFolded, _delayDownFolded;
+    sim::Histogram _delayUp, _delayDown;
     mutable sim::Counter _bytesUpStat, _bytesDownStat;
 };
 

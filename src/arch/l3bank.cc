@@ -7,7 +7,6 @@
 #include "cohesion/region_table.hh"
 #include "sim/host_profiler.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "sim/trace.hh"
 #include "sim/trace_json.hh"
 
@@ -593,9 +592,6 @@ L3Bank::handleTableUpdate(Request req, sim::lat::Cursor *lat)
 void
 L3Bank::debugWedgeLine(mem::Addr base)
 {
-    // Called from test harness context, outside any shard window; the
-    // wedge transaction must park on this bank's home queue.
-    sim::ShardGuard g(_chip.shardOfBank(_id));
     pruneTransactions();
     adoptTransaction(wedge(mem::lineBase(base))).start();
 }

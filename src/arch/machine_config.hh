@@ -101,15 +101,6 @@ struct MachineConfig
      * maxCycles bound still applies).
      */
     sim::Tick watchdogWindow = 2'000'000;
-    /**
-     * Intra-run parallelism: number of simulation shards (per-shard
-     * event queues run by a per-chip thread pool with conservative
-     * lookahead over netLatency). Results are bit-identical for every
-     * value; 1 simulates on the calling thread alone. Clamped to the
-     * number of schedulable components (clusters + DRAM-channel bank
-     * groups).
-     */
-    unsigned shards = 1;
 
     // --- Fault injection ---------------------------------------------------
     /** Fault campaign; all-zero rates (the default) disable injection. */

@@ -97,10 +97,10 @@ writeHostProfileJson(std::ostream &os, const HostProfiler::Profile &p,
     }
     os << "\n  ],\n";
 
-    // Sampled per-component attribution of dispatch time: the
-    // shard-parallelism ranking. Inclusive (a region-table scope under
-    // a bank scope accrues to both), so entries can overlap and are
-    // reported against eq.dispatch rather than summed.
+    // Sampled per-component attribution of dispatch time. Inclusive
+    // (a region-table scope under a bank scope accrues to both), so
+    // entries can overlap and are reported against eq.dispatch rather
+    // than summed.
     os << "  \"components\": [";
     first = true;
     for (Phase ph : sampled) {

@@ -30,8 +30,8 @@ void addHostStats(sim::StatRegistry &reg,
 
 /**
  * Write the standalone host-profile report: per-phase totals, call
- * counts, percent-of-run, and the sampled per-component ranking the
- * roadmap's sharding work reads (sorted by estimated host time).
+ * counts, percent-of-run, and the sampled per-component ranking
+ * (sorted by estimated host time).
  */
 void writeHostProfileJson(std::ostream &os,
                           const sim::HostProfiler::Profile &p,

@@ -8,10 +8,7 @@ RunResult
 runKernel(const arch::MachineConfig &cfg, kernels::Kernel &kernel,
           const RunOptions &opts)
 {
-    arch::MachineConfig cfg_eff = cfg;
-    if (opts.shards)
-        cfg_eff.shards = opts.shards;
-    Session session(cfg_eff, kernel.params().seed);
+    Session session(cfg, kernel.params().seed);
     if (!opts.restoreFrom.empty())
         session.restoreFrom(opts.restoreFrom);
     RunResult r = session.run(kernel, opts);

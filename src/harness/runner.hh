@@ -99,9 +99,9 @@ struct RunResult
     /** Host wall-clock seconds spent inside runKernel (always set). */
     double hostWallSec = 0;
 
-    /** Folded per-stage cycle-blame breakdown (all buckets zero unless
-     *  RunOptions::latency was on). Deterministic and shard-count
-     *  invariant — see DESIGN.md SS15. */
+    /** Per-stage cycle-blame breakdown (all buckets zero unless
+     *  RunOptions::latency was on). Deterministic — see DESIGN.md
+     *  SS15. */
     sim::LatencyTotals latency;
 };
 
@@ -154,11 +154,6 @@ struct RunOptions
     /** Restore machine state from this CCKPT1 snapshot before running
      *  (empty: off). Throws sim::SnapshotError on a bad snapshot. */
     std::string restoreFrom;
-    /** Intra-run parallelism: shard the machine's event processing
-     *  across this many worker threads (0: keep cfg.shards; 1: serial).
-     *  Results are bit-identical for every value — see DESIGN.md §13.
-     *  Overrides MachineConfig::shards before the machine is built. */
-    unsigned shards = 0;
     /** Enable per-transaction latency accounting (chip.latency.* stats
      *  and RunResult::latency). Observer-only: simulated results are
      *  byte-identical with it on or off. */

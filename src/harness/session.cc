@@ -253,7 +253,7 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     }
 
     if (chip.latencyOn())
-        r.latency = chip.latAcc().fold();
+        r.latency = chip.latAcc().totals();
 
     for (unsigned c = 0; c < arch::numMsgClasses; ++c)
         r.reqLatency[c] = chip.reqLatency(static_cast<arch::MsgClass>(c));

@@ -2,7 +2,7 @@
  * @file
  * Structured comparison of two statistics documents (the JSON trees
  * written by --stats-json, or whole sweep-results files). This is the
- * regression harness the sharding and backend-ablation work diffs
+ * regression harness the backend-ablation and golden gates diff
  * against: flatten both documents to dotted scalar paths, compare
  * under per-stat absolute/relative tolerances, and report every
  * added, removed and changed stat.

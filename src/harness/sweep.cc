@@ -735,12 +735,6 @@ SweepSpec::parse(std::string_view json_text, SweepSpec *out,
                                      "must be a non-negative number");
             spec.warmupRuns = static_cast<unsigned>(v->number);
         }
-        if (const JsonValue *v = o->find("shards")) {
-            if (!v->isNumber() || v->number < 1)
-                return specFail(err, "sweep spec: options.shards "
-                                     "must be a positive number");
-            spec.shards = static_cast<unsigned>(v->number);
-        }
     }
 
     if (spec.kernels.empty())
@@ -777,7 +771,6 @@ SweepSpec::expand() const
                                    ? arch::MachineConfig::paper1024()
                                    : arch::MachineConfig::scaled(clusters);
     base.tableCacheEntries = tableCacheEntries;
-    base.shards = shards;
 
     std::vector<SweepPoint> points;
     points.reserve(kernels.size() * modes_eff.size() * dirs_eff.size() *

@@ -260,9 +260,6 @@ struct SweepSpec
     bool audit = true;
     /** options.warmup: warm-up runs per job (see SweepPoint). */
     unsigned warmupRuns = 0;
-    /** options.shards: intra-run shard threads per job (results are
-     *  bit-identical for any value; see DESIGN.md §13). */
-    unsigned shards = 1;
 
     /** Parse the JSON schema above. Returns false and sets @p err on
      *  malformed input. */

@@ -23,12 +23,10 @@ namespace mem {
 /**
  * Sparse page-granular byte store over the 32-bit space.
  *
- * Thread model (sharded runs): each L3 bank only ever touches bytes of
- * its own 2 KB-interleaved address slices, so concurrent shard threads
- * never race on *data*. The only shared mutation is lazy page
- * materialization — two banks homed on different shards faulting in
- * disjoint slices of the same 64 KB page — so the page table is a
- * fixed array of atomic pointers published with a CAS.
+ * Thread model: a chip touches its store only from the thread that
+ * drives it. The page table is a fixed array of atomic pointers whose
+ * lazy materialization is published with a CAS, so a page lookup stays
+ * safe even if several threads fault in the same 64 KB page.
  */
 class BackingStore
 {
@@ -165,7 +163,7 @@ class BackingStore
                 p = fresh;
                 _allocated.fetch_add(1, std::memory_order_relaxed);
             } else {
-                delete[] fresh; // another shard published first
+                delete[] fresh; // another thread published first
             }
         }
         return p + (a & (pageBytes - 1));

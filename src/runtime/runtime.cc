@@ -15,9 +15,8 @@ sim::CoTask
 Barrier::wait(arch::Core &core)
 {
     // Fresh counter word per episode: no reset message needed. The
-    // episode index is tracked per core (written only on the core's
-    // own shard); the winner is decided by the bank-serialized
-    // fetch-add below, never by host-side state.
+    // episode index is tracked per core; the winner is decided by the
+    // bank-serialized fetch-add below, never by host-side state.
     unsigned id = core.globalId();
     std::uint64_t my_episode = _coreEpisode[id]++;
     fatal_if(my_episode >= 4096, "barrier episode window exhausted");
@@ -53,7 +52,7 @@ Barrier::releaseAll(std::uint64_t episode)
     }
     sim::Tick when = _chip.eq().now() + _chip.config().netLatency;
     for (unsigned cl = 0; cl < _chip.numClusters(); ++cl) {
-        _chip.postBarrierWake(cl, when, [this, cl, when]() {
+        _chip.postBarrierWake(when, [this, cl, when]() {
             std::uint64_t upto = ++_released[cl];
             std::vector<arch::Core *> ready;
             auto &w = _waiting[cl];

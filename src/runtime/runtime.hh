@@ -39,15 +39,13 @@ struct TaskDesc
  * one network latency later. A fresh counter word is used per episode
  * so no reset traffic is needed.
  *
- * Shard safety: the winner is decided by the fetch-add's result at the
- * counter's home bank (bank-serialized, so exactly one arrival sees
- * old+1 == parties regardless of shard interleaving). All host-side
- * bookkeeping is partitioned by the shard that writes it — each core's
- * episode count is written only on its own cluster's shard, and the
- * parked-waiter lists and release counters are per cluster. The winner
- * broadcasts the release to every cluster's shard through the chip's
- * router (Chip::postBarrierWake), which is also what gives the wakeup
- * its one-network-latency timing.
+ * The winner is decided by the fetch-add's result at the counter's
+ * home bank (bank-serialized, so exactly one arrival sees
+ * old+1 == parties). Parked waiters and release counters are kept per
+ * cluster, and the winner posts one release per cluster through the
+ * chip's router (Chip::postBarrierWake), which gives the wakeup its
+ * one-network-latency timing and its place in the router's canonical
+ * delivery order.
  */
 class Barrier
 {
@@ -69,8 +67,8 @@ class Barrier
      *  (a fresh word per episode, modulo the window), so it must
      *  survive a restore or post-restore barriers would reread a stale
      *  counter. No core may be parked at the barrier, and at a
-     *  quiescent point all per-core/per-cluster views agree — the
-     *  record stays the single episode word of the unsharded model. */
+     *  quiescent point all per-core/per-cluster views agree, so the
+     *  record is a single episode word. */
     void
     checkpointState(sim::Serializer &ser) const
     {

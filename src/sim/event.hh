@@ -8,8 +8,8 @@
  * no heap allocations in either case.
  *
  * Each thread carves nodes from its own slab pool, but a node may be
- * freed from any thread: sharded runs construct an event on one shard
- * and destroy it on the shard that fires it. Foreign frees are pushed
+ * freed from any thread: an event built on one thread may be fired or
+ * destroyed on another. Foreign frees are pushed
  * onto the owning pool's lock-free return stack and reclaimed by the
  * owner before it carves a new slab; a pool whose thread has exited is
  * kept alive until its last outstanding node comes home (see

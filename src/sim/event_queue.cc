@@ -13,14 +13,14 @@ namespace sim {
 // carved it: same-thread frees take the plain free list, cross-thread
 // frees push onto the owner's lock-free MPSC return stack, drained by
 // the owner before it carves a new slab. Without the header, a node
-// allocated on one shard thread and freed on another would land on the
+// allocated on one thread and freed on another would land on the
 // *freeing* thread's list while its slab belonged to the allocator —
 // reuse after the allocator thread exits would be use-after-free.
 //
 // Pools of exited threads retire into a registry and are deleted once
-// their live allocation count drains to zero (shard crew threads die
-// before the chip's event queues do, so their in-flight events may be
-// freed arbitrarily late).
+// their live allocation count drains to zero (a worker thread may exit
+// before the event queue holding its events does, so those events may
+// be freed arbitrarily late).
 // --------------------------------------------------------------------
 
 namespace detail {

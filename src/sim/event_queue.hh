@@ -58,9 +58,8 @@ class EventQueue
 
     /**
      * Tick of the most recently fired event. Unlike now(), this is not
-     * disturbed by a bounded run() stopping at its limit, so a sharded
-     * chip can report the true final tick as the maximum of its
-     * queues' lastFired values.
+     * disturbed by a bounded run() stopping at its limit, so the chip
+     * can report the true final tick after a windowed run.
      */
     Tick lastFired() const { return _lastFired; }
 
@@ -68,11 +67,10 @@ class EventQueue
     std::uint64_t nextSeq() const { return _nextSeq; }
 
     /**
-     * Restore-time adoption for one queue of a sharded machine: set
-     * the clock and counters of a drained, unused queue. The chip
-     * snapshot stores one canonical (tick, eventsRun, nextSeq) triple;
-     * every shard queue adopts the same tick and sequence origin so a
-     * snapshot restores identically for any shard count.
+     * Restore-time adoption: set the clock and counters of a drained,
+     * unused queue from a snapshot's (tick, eventsRun, nextSeq) record,
+     * so post-restore scheduling (and same-tick tie-breaks) continue
+     * exactly where the snapshotted run stopped.
      */
     void
     adopt(Tick now, std::uint64_t next_seq, std::uint64_t events_run = 0)

@@ -109,28 +109,22 @@ struct FaultPlan
 };
 
 /**
- * Sharded-determinism note: a single shared Rng stream would make fault
- * decisions depend on the host interleaving of shard threads. Each site
- * therefore owns one independent Rng *lane* per source component —
+ * Each site owns one independent Rng *lane* per source component —
  * C2B fabric sites are laned by source cluster, B2C fabric sites and
  * TableStale by bank, and the flip sites (whose opportunities happen at
- * the orchestrator's fault pump) share one lane. Each lane's seed is
+ * the run loop's fault pump) share one lane. Each lane's seed is
  * derived from (fault seed, site name, lane index), so a lane's draw
  * sequence depends only on the simulated traffic through that one
- * component — which the conservative window scheduler already keeps
- * identical for every shard count.
- *
- * Semantics change vs. the pre-sharded model: per-site injection caps
- * (`max`) apply *per lane*, because checking a global cap from
- * concurrent shards would race the decision itself.
+ * component: traffic or faults elsewhere never shift its decisions.
+ * Per-site injection caps (`max`) apply *per lane*.
  */
 class FaultInjector
 {
   public:
     /**
      * Install @p plan and reset all counters and Rng lanes.
-     * @p clusters / @p banks define the lane geometry (both are
-     * machine topology, independent of the shard count).
+     * @p clusters / @p banks define the lane geometry (machine
+     * topology).
      */
     void configure(const FaultPlan &plan, unsigned clusters = 1,
                    unsigned banks = 1);
@@ -180,8 +174,7 @@ class FaultInjector
      * lane's Rng and returns true (counting the injection) if a fault
      * fires. Every call consumes at most one draw from that lane, at a
      * deterministic point in the component's event order, so campaigns
-     * replay exactly at any shard count. Must run on the shard that
-     * owns the lane's component.
+     * replay exactly.
      */
     bool
     fire(FaultSite s, unsigned lane)
@@ -204,8 +197,8 @@ class FaultInjector
         ++laneAt(s, lane).injected;
     }
 
-    /** The machinery absorbed one fault injected at @p s. May be
-     *  called from any shard (recovery is observed at the receiver). */
+    /** The machinery absorbed one fault injected at @p s (observed at
+     *  the receiver). */
     void
     countRecovered(FaultSite s)
     {
@@ -234,7 +227,7 @@ class FaultInjector
     std::uint64_t totalRecovered() const;
 
     /** The fault pump's dedicated Rng stream (victim selection for
-     *  flip sites; orchestrator-only). */
+     *  flip sites; drawn only at window barriers). */
     Rng &pumpRng() { return _pumpRng; }
 
     /** Register per-site injected/recovered counters under @p prefix. */
@@ -242,9 +235,8 @@ class FaultInjector
 
     /** Checkpoint hooks: every lane's Rng stream and counters resume
      *  so post-restore fault decisions replay the uninterrupted
-     *  campaign exactly. Lane geometry is machine topology, so the
-     *  record is shard-count-independent. The plan itself is
-     *  configuration, rebuilt by the caller before restore. */
+     *  campaign exactly. The plan itself is configuration, rebuilt by
+     *  the caller before restore. */
     void
     checkpointState(Serializer &ser) const
     {

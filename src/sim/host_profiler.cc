@@ -93,42 +93,13 @@ HostProfiler::threadSnapshot()
 {
     Profile p;
     p.sampleShift = sampleShift();
-    if (!_tlAcc) {
-        // Never profiled and owns no group: nothing to report, and
-        // registering an accumulator just to scan for members that
-        // cannot exist would be wasted work.
+    // A thread that never profiled owns no accumulator: nothing to
+    // report, and registering one just to read zeros would be waste.
+    if (!_tlAcc)
         return p;
-    }
-    const void *self = _tlAcc->group.load(std::memory_order_acquire);
-    const void *key = self ? self : _tlAcc;
-    AccRegistry &r = registry();
-    std::lock_guard<std::mutex> g(r.mu);
-    for (const auto &acc : r.accs) {
-        const void *g_ = acc->group.load(std::memory_order_acquire);
-        const void *accKey = g_ ? g_ : acc.get();
-        if (accKey != key)
-            continue;
-        for (unsigned i = 0; i < numPhases; ++i) {
-            p.phases[i].count += acc->phases[i].count;
-            p.phases[i].timedCount += acc->phases[i].timedCount;
-            p.phases[i].timedNs += acc->phases[i].timedNs;
-        }
-    }
+    std::lock_guard<std::mutex> g(registry().mu);
+    p.phases = _tlAcc->phases;
     return p;
-}
-
-const void *
-HostProfiler::groupKey()
-{
-    ThreadAcc &a = threadAcc();
-    const void *g = a.group.load(std::memory_order_acquire);
-    return g ? g : &a;
-}
-
-void
-HostProfiler::joinGroup(const void *key)
-{
-    threadAcc().group.store(key, std::memory_order_release);
 }
 
 std::uint64_t

@@ -2,9 +2,8 @@
  * @file
  * Host-side self-profiler: attributes the *simulator's* CPU/wall time
  * to named phases, the mirror image of the stat registry and flight
- * recorder (which instrument the *simulated* machine). It exists to
- * answer one question before the roadmap's shard-the-chip work is
- * attempted: where does a run actually spend host time — cluster event
+ * recorder (which instrument the *simulated* machine). It answers one
+ * question: where does a run actually spend host time — cluster event
  * handling, bank transactions, the directory, the region table, or the
  * event queue itself?
  *
@@ -34,8 +33,7 @@
  *
  * Sampled phases are *inclusive*: a region-table scope opened inside a
  * bank-transaction scope accrues to both. The component ranking this
- * produces is exactly what the conservative-lookahead sharding item
- * needs — which per-component slices dominate dispatch time.
+ * produces says which per-component slices dominate dispatch time.
  */
 
 #ifndef COHESION_SIM_HOST_PROFILER_HH
@@ -177,24 +175,11 @@ class HostProfiler
     static Profile processSnapshot();
 
     /**
-     * This thread's accumulation *group*: its own accumulator plus
-     * every thread that joined its group (shard crew workers). Pair
-     * two calls around a region (e.g. one sweep job) and subtract with
-     * Profile::since to get a per-job profile even while sibling
-     * workers run — a sweep worker's group never includes another
-     * job's threads.
+     * This thread's accumulation. Pair two calls around a region (e.g.
+     * one sweep job) and subtract with Profile::since to get a per-job
+     * profile even while sibling workers run.
      */
     static Profile threadSnapshot();
-
-    /** Opaque identity of this thread's group (its own accumulator
-     *  unless it joined another thread's group). */
-    static const void *groupKey();
-
-    /** Fold this thread's accumulation into the group identified by
-     *  @p key (from the owning thread's groupKey()). Shard crew
-     *  threads call this once at startup so host.* attribution and
-     *  attributed_pct cover shard work under --shards N. */
-    static void joinGroup(const void *key);
 
     // --- Scoped timer ---------------------------------------------------
 
@@ -323,13 +308,6 @@ class HostProfiler
     {
         std::array<PhaseAcc, numPhases> phases{};
         std::array<std::uint32_t, numPhases> stride{};
-        /** Group identity; null means "my own group" (self). Atomic
-         *  because a shard crew worker joins its orchestrator's group
-         *  at startup, concurrently with a baseline threadSnapshot()
-         *  taken before the first window barrier orders the two
-         *  threads (phase accumulators need no such care: they are
-         *  only written inside windows, which end in a barrier). */
-        std::atomic<const void *> group{nullptr};
     };
 
   private:

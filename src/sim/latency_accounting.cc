@@ -50,28 +50,6 @@ modeName(Mode m)
 
 } // namespace lat
 
-LatencyTotals
-LatencyAccountant::fold() const
-{
-    LatencyTotals t;
-    t.cls.assign(_numClasses, LatencyTotals::Bucket{});
-    auto sum = [](LatencyTotals::Bucket &into,
-                  const LatencyTotals::Bucket &from) {
-        into.count += from.count;
-        into.e2e += from.e2e;
-        for (unsigned s = 0; s < lat::numStages; ++s)
-            into.stage[s] += from.stage[s];
-    };
-    for (const Lane &l : _lanes) {
-        for (unsigned m = 0; m < lat::numModes; ++m)
-            sum(t.mode[m], l.mode[m]);
-        for (unsigned c = 0; c < l.cls.size() && c < t.cls.size(); ++c)
-            sum(t.cls[c], l.cls[c]);
-        t.violations += l.violations;
-    }
-    return t;
-}
-
 void
 registerLatencyTotals(StatRegistry &reg, const std::string &prefix,
                       const LatencyTotals &t,
@@ -105,7 +83,7 @@ LatencyAccountant::registerStats(StatRegistry &reg,
                                  const std::string &prefix,
                                  const char *(*class_name)(unsigned)) const
 {
-    registerLatencyTotals(reg, prefix, fold(), class_name);
+    registerLatencyTotals(reg, prefix, _totals, class_name);
 }
 
 } // namespace sim

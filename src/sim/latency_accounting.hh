@@ -16,9 +16,7 @@
  * Observer-only, like the host profiler and flight recorder:
  * accounting off (the default) registers no stats and leaves
  * simulation results byte-identical; accounting on changes nothing
- * but the export. Aggregation lands in per-shard lanes (commutative
- * sums indexed by sim::tlsShard) and is folded only at export, so
- * the totals are shard-count invariant (DESIGN.md SS15).
+ * but the export (DESIGN.md SS15).
  */
 
 #ifndef COHESION_SIM_LATENCY_ACCOUNTING_HH
@@ -147,65 +145,52 @@ void registerLatencyTotals(StatRegistry &reg, const std::string &prefix,
                            const char *(*class_name)(unsigned));
 
 /**
- * Per-shard aggregation of completed-transaction timelines. The
- * cluster's retire path records into the lane named by sim::tlsShard;
- * fold() sums the lanes at export. Disabled (the default), record()
- * is never called and registerStats() adds nothing.
+ * Aggregation of completed-transaction timelines, recorded by the
+ * cluster's retire path. Disabled (the default), record() is never
+ * called and registerStats() adds nothing.
  */
 class LatencyAccountant
 {
   public:
     /** @p num_classes mirrors arch::numMsgClasses (sim/ cannot see
-     *  arch/); @p lanes is the machine's shard count. */
+     *  arch/). */
     void
-    configure(unsigned num_classes, unsigned lanes)
+    configure(unsigned num_classes)
     {
-        _numClasses = num_classes;
-        _lanes.assign(lanes ? lanes : 1, Lane{});
-        for (Lane &l : _lanes)
-            l.cls.assign(_numClasses, LatencyTotals::Bucket{});
+        _totals = LatencyTotals{};
+        _totals.cls.assign(num_classes, LatencyTotals::Bucket{});
     }
 
     void enable() { _enabled = true; }
     bool enabled() const { return _enabled; }
 
     /**
-     * Record one completed transaction into @p lane. @p ok is the
-     * stage-sum invariant, checked by the caller (which holds both
-     * the timeline and the end-to-end anchor ticks).
+     * Record one completed transaction. @p ok is the stage-sum
+     * invariant, checked by the caller (which holds both the timeline
+     * and the end-to-end anchor ticks).
      */
     void
-    record(unsigned lane, unsigned msg_class, lat::Mode mode,
+    record(unsigned msg_class, lat::Mode mode,
            const std::array<std::uint32_t, lat::numStages> &stages,
            std::uint64_t e2e, bool ok)
     {
-        Lane &l = _lanes[lane < _lanes.size() ? lane : 0];
         if (!ok)
-            ++l.violations;
-        bump(l.mode[static_cast<unsigned>(mode)], stages, e2e);
-        if (msg_class < l.cls.size())
-            bump(l.cls[msg_class], stages, e2e);
+            ++_totals.violations;
+        bump(_totals.mode[static_cast<unsigned>(mode)], stages, e2e);
+        if (msg_class < _totals.cls.size())
+            bump(_totals.cls[msg_class], stages, e2e);
     }
 
-    /** Sum the per-shard lanes (shard-count invariant totals). */
-    LatencyTotals fold() const;
+    const LatencyTotals &totals() const { return _totals; }
 
     /**
-     * Register the folded breakdown under "<prefix>." (scalars are
-     * copied in, so the registry never points into scratch). The
-     * class-bucket names come from @p class_name(index).
+     * Register the breakdown under "<prefix>." (scalars are copied
+     * in). The class-bucket names come from @p class_name(index).
      */
     void registerStats(StatRegistry &reg, const std::string &prefix,
                        const char *(*class_name)(unsigned)) const;
 
   private:
-    struct Lane
-    {
-        std::array<LatencyTotals::Bucket, lat::numModes> mode{};
-        std::vector<LatencyTotals::Bucket> cls;
-        std::uint64_t violations = 0;
-    };
-
     static void
     bump(LatencyTotals::Bucket &b,
          const std::array<std::uint32_t, lat::numStages> &stages,
@@ -218,8 +203,7 @@ class LatencyAccountant
     }
 
     bool _enabled = false;
-    unsigned _numClasses = 0;
-    std::vector<Lane> _lanes;
+    LatencyTotals _totals;
 };
 
 } // namespace sim

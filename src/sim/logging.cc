@@ -87,23 +87,4 @@ LogCapture::~LogCapture()
     tlsCapture = _prev;
 }
 
-LogCapture *
-LogCapture::current()
-{
-    return tlsCapture;
-}
-
-LogSinkAdoption::LogSinkAdoption(LogCapture *sink)
-    : _prev(tlsCapture), _installed(sink != nullptr)
-{
-    if (_installed)
-        tlsCapture = sink;
-}
-
-LogSinkAdoption::~LogSinkAdoption()
-{
-    if (_installed)
-        tlsCapture = _prev;
-}
-
 } // namespace sim

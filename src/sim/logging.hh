@@ -82,9 +82,9 @@ class LogCapture
     }
 
     /** Internal: sink hook used by the logging implementation. The
-     *  mutex serializes appends from shard worker threads that adopted
-     *  this capture (see LogSinkAdoption); it is uncontended on the
-     *  common single-threaded path and append is cold anyway. */
+     *  mutex keeps append() and text() safe if another thread reads a
+     *  capture while its owner writes; it is uncontended in practice
+     *  and append is cold anyway. */
     void
     append(const std::string &line)
     {
@@ -92,34 +92,10 @@ class LogCapture
         _buf << line;
     }
 
-    /** The innermost capture installed on this thread (null: stderr). */
-    static LogCapture *current();
-
   private:
     mutable std::mutex _mu;
     std::ostringstream _buf;
     LogCapture *_prev; ///< Enclosing capture on this thread, if any.
-};
-
-/**
- * RAII: route this thread's log output to @p sink — a capture owned by
- * *another* thread (shard crew workers adopt the orchestrator's sink
- * for each window, so panic/fatal text from a worker lands in the
- * owning job's buffer instead of the shared console). A null sink is a
- * no-op adoption (output keeps going to this thread's own sink).
- */
-class LogSinkAdoption
-{
-  public:
-    explicit LogSinkAdoption(LogCapture *sink);
-    ~LogSinkAdoption();
-
-    LogSinkAdoption(const LogSinkAdoption &) = delete;
-    LogSinkAdoption &operator=(const LogSinkAdoption &) = delete;
-
-  private:
-    LogCapture *_prev;
-    bool _installed;
 };
 
 } // namespace sim

@@ -51,14 +51,11 @@ struct Fingerprint
 
 /** One complete kernel run, reduced to its deterministic fingerprint.
  *  @p progress installs a hook on the shortest interval, maximising
- *  the number of extra event-queue burst boundaries. @p shards runs
- *  the chip on that many parallel shard threads (1 = serial). */
+ *  the number of extra event-queue burst boundaries. */
 Fingerprint
-runOnce(const std::string &kernel_name, bool progress = false,
-        unsigned shards = 1)
+runOnce(const std::string &kernel_name, bool progress = false)
 {
     arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
-    cfg.shards = shards;
     arch::Chip chip(cfg, runtime::Layout::tableBase);
     runtime::CohesionRuntime rt(chip);
     if (progress)
@@ -126,45 +123,6 @@ TEST(Determinism, ProfilerAndProgressDoNotPerturb)
     // And the profiler actually observed the profiled runs.
     sim::HostProfiler::Profile p = sim::HostProfiler::threadSnapshot();
     EXPECT_GT(p[sim::HostProfiler::Phase::EqDispatch].count, 0u);
-}
-
-/** The sharding golden (DESIGN.md §13): for every kernel, running the
- *  chip on 2 or 4 shard threads must reproduce the serial run bit for
- *  bit — same final tick, same total event count, same hash over the
- *  full flattened stat registry. Any cross-shard message escaping the
- *  router's canonical order, any component scheduled on the wrong
- *  queue, or any barrier-cadence drift shows up here as a mismatch on
- *  a specific kernel. */
-TEST(Determinism, ShardedRunIsBitIdenticalToSerial)
-{
-    for (const std::string &kernel : kernels::allKernelNames()) {
-        Fingerprint serial = runOnce(kernel, /*progress=*/false,
-                                     /*shards=*/1);
-        EXPECT_GT(serial.finalTick, 0u) << kernel;
-        EXPECT_GT(serial.eventsRun, 0u) << kernel;
-        for (unsigned shards : {2u, 4u}) {
-            Fingerprint sharded = runOnce(kernel, /*progress=*/false,
-                                          shards);
-            EXPECT_EQ(serial.finalTick, sharded.finalTick)
-                << kernel << " --shards " << shards;
-            EXPECT_EQ(serial.eventsRun, sharded.eventsRun)
-                << kernel << " --shards " << shards;
-            EXPECT_EQ(serial.statHash, sharded.statHash)
-                << kernel << " --shards " << shards;
-        }
-    }
-}
-
-/** Observers stay observers under sharding: the progress hook (which
- *  bounds window sizes at heartbeat cadence on shard 0's clock only
- *  via simulated time, never host time) must not move the sharded
- *  fingerprint either. */
-TEST(Determinism, ShardedProgressDoesNotPerturb)
-{
-    Fingerprint base = runOnce("heat");
-    Fingerprint sharded = runOnce("heat", /*progress=*/true,
-                                  /*shards=*/4);
-    EXPECT_TRUE(base == sharded);
 }
 
 } // namespace

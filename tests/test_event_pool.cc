@@ -1,11 +1,9 @@
 /** @file
- * Cross-thread event-capture pool regression. The pooled allocator
- * behind sim::Event heap captures was written for one thread per
- * machine; sharded runs broke that assumption in both directions —
- * an event built on shard A (its capture carved from A's thread-local
- * slab pool) routinely fires and is destroyed on shard B. The pool
- * now tags every node with its owning pool and routes foreign frees
- * through a lock-free return stack; these tests pin the contract:
+ * Cross-thread event-capture pool regression. An event built on one
+ * thread (its capture carved from that thread's slab pool) may fire or
+ * be destroyed on another. The pool tags every node with its owning
+ * pool and routes foreign frees through a lock-free return stack;
+ * these tests pin the contract:
  *
  *  - a node freed on a foreign thread comes home and is reusable by
  *    the owner (no leak, no double-carve);
@@ -67,8 +65,7 @@ makeFatEvent(std::uint64_t seed, std::atomic<std::uint64_t> *sink)
     });
 }
 
-/** Events allocated on this thread, fired and destroyed on another —
- *  the shard-crew direction (orchestrator schedules, worker fires). */
+/** Events allocated on this thread, fired and destroyed on another. */
 TEST(EventPool, AllocHereFreeThere)
 {
     constexpr int kEvents = 64;

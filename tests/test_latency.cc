@@ -3,8 +3,7 @@
  * cycle lands in exactly one stage, and the stages sum exactly to the
  * end-to-end latency") must hold for every coherence backend, with
  * and without fabric faults, and the accounting must be a pure
- * observer — simulated results byte-identical with it on or off, and
- * the aggregated blame identical for every shard count.
+ * observer — simulated results byte-identical with it on or off.
  *
  * The violations counter is the honesty mechanism: there is no
  * "other" bucket for mis-attributed cycles to hide in, so any seam
@@ -29,11 +28,10 @@ namespace {
 
 harness::RunResult
 runWithLatency(const std::string &kernel, const std::string &backend,
-               unsigned shards = 1, const sim::FaultPlan *faults = nullptr)
+               const sim::FaultPlan *faults = nullptr)
 {
     arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
     cfg.backend = backend;
-    cfg.shards = shards;
     if (faults)
         cfg.faults = *faults;
     kernels::Params params;
@@ -125,7 +123,7 @@ TEST(LatencyAccounting, FaultDropsLandInRetryStage)
     plan.site(sim::FaultSite::FabricC2BDrop).rate = 0.05;
     plan.site(sim::FaultSite::FabricB2CDrop).rate = 0.05;
     harness::RunResult r =
-        runWithLatency("heat", "msi-fullmap", 1, &plan);
+        runWithLatency("heat", "msi-fullmap", &plan);
     ASSERT_GT(r.faultsInjected, 0u) << "fault plan never fired";
     expectBucketsTile(r.latency, "heat under fabric drops");
     std::uint64_t retry = 0;
@@ -152,18 +150,9 @@ TEST(LatencyAccounting, ObserverOnlyOnOffByteIdentical)
         harness::RunResult r_on = harness::runKernel(
             cfg, kernels::kernelFactory("kmeans"), params, on);
 
-        // And accounting under sharding must still not perturb the
-        // simulation (the sharded goldens pin shards-off already).
-        harness::RunOptions on3 = on;
-        on3.shards = 3;
-        harness::RunResult r_on3 = harness::runKernel(
-            cfg, kernels::kernelFactory("kmeans"), params, on3);
-
         EXPECT_EQ(r_off.cycles, r_on.cycles) << backend;
         EXPECT_EQ(r_off.instructions, r_on.instructions) << backend;
         EXPECT_EQ(csvWithoutBlame(cfg, r_off), csvWithoutBlame(cfg, r_on))
-            << backend;
-        EXPECT_EQ(csvWithoutBlame(cfg, r_on), csvWithoutBlame(cfg, r_on3))
             << backend;
 
         // Off: the accounting contributed nothing, and the blame keys
@@ -174,26 +163,6 @@ TEST(LatencyAccounting, ObserverOnlyOnOffByteIdentical)
         EXPECT_EQ(raw.str().find("latency.mode."), std::string::npos)
             << backend;
         EXPECT_GT(r_on.latency.completed(), 0u) << backend;
-    }
-}
-
-TEST(LatencyAccounting, AggregatesShardInvariant)
-{
-    for (const char *backend : {"msi-fullmap", "dls"}) {
-        harness::RunResult r1 = runWithLatency("kmeans", backend, 1);
-        harness::RunResult r3 = runWithLatency("kmeans", backend, 3);
-        EXPECT_EQ(r1.latency.violations, r3.latency.violations);
-        for (unsigned m = 0; m < sim::lat::numModes; ++m) {
-            EXPECT_EQ(r1.latency.mode[m].count, r3.latency.mode[m].count)
-                << backend;
-            EXPECT_EQ(r1.latency.mode[m].e2e, r3.latency.mode[m].e2e)
-                << backend;
-            for (unsigned s = 0; s < sim::lat::numStages; ++s) {
-                EXPECT_EQ(r1.latency.mode[m].stage[s],
-                          r3.latency.mode[m].stage[s])
-                    << backend << " stage " << s;
-            }
-        }
     }
 }
 

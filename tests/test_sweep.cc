@@ -29,7 +29,6 @@
 #include "runtime/ctx.hh"
 #include "runtime/layout.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "sim/stat_registry.hh"
 
 namespace {
@@ -277,61 +276,6 @@ TEST(LogCapture, NestsAndRestores)
     EXPECT_NE(outer.text().find("to-outer"), std::string::npos);
     EXPECT_NE(outer.text().find("to-outer-again"), std::string::npos);
     EXPECT_EQ(outer.text().find("to-inner"), std::string::npos);
-}
-
-/** LogCapture is thread-local, so a shard worker would write to raw
- *  stderr unless the crew explicitly adopts the orchestrator's sink
- *  per window. A warn() from every shard of a crew must land in the
- *  capture active on the thread that called runWindow — and stop
- *  landing there once the window is over. */
-TEST(LogCapture, ShardWorkersInheritTheOrchestratorSink)
-{
-    sim::LogCapture capture;
-    sim::ShardCrew crew(4);
-    crew.runWindow([](unsigned shard) {
-        warn("from-shard-", shard);
-    });
-    for (unsigned shard = 0; shard < 4; ++shard)
-        EXPECT_NE(capture.text().find(sim::cat("from-shard-", shard)),
-                  std::string::npos)
-            << "shard " << shard << " wrote past the job's capture";
-}
-
-/** The end-to-end version: a sweep job running a sharded machine
- *  captures warnings raised on worker threads into its own JobResult
- *  log, with per-job isolation intact. The fault plan's summary warn
- *  (emitted at teardown on the orchestrator) and the retransmit
- *  machinery run under --shards 4 exactly as serial; here we assert a
- *  worker-side warn is captured by spawning the crew inside a job. */
-TEST(LogCapture, ShardedJobKeepsItsOwnLog)
-{
-    std::vector<sim::SweepJob> jobs;
-    for (int i = 0; i < 2; ++i) {
-        sim::SweepJob job;
-        job.label = sim::cat("sharded-", i);
-        job.body = [i]() {
-            sim::ShardCrew crew(3);
-            crew.runWindow([i](unsigned shard) {
-                warn("job-", i, "-shard-", shard);
-            });
-            return harness::RunResult{};
-        };
-        jobs.push_back(std::move(job));
-    }
-    sim::SweepEngine engine(2);
-    std::vector<sim::JobResult> results = engine.run(jobs);
-    ASSERT_EQ(results.size(), 2u);
-    for (int i = 0; i < 2; ++i) {
-        for (unsigned shard = 0; shard < 3; ++shard)
-            EXPECT_NE(
-                results[i].log.find(sim::cat("job-", i, "-shard-", shard)),
-                std::string::npos)
-                << "job " << i << " lost shard " << shard << "'s warning";
-        const int other = 1 - i;
-        EXPECT_EQ(results[i].log.find(sim::cat("job-", other, "-shard-")),
-                  std::string::npos)
-            << "job " << i << " captured job " << other << "'s shards";
-    }
 }
 
 TEST(SweepSpec, ParsesAndExpandsCrossProduct)

@@ -16,8 +16,6 @@
  *   --list-backends   print the registered backend names and exit
  *   --clusters N      clusters of 8 cores (default 4)
  *   --paper           full 1024-core Table 3 machine
- *   --shards N        run one simulation on N worker threads
- *                     (bit-identical results for any N; default 1)
  *   --scale N         workload scale (default 1)
  *   --seed N          workload seed
  *   --dir-entries N   per-bank directory entries (0 = infinite)
@@ -79,8 +77,7 @@ usage(int code)
     std::cout <<
         "usage: cohesion-sim [--kernel NAME] [--mode swcc|hwcc|cohesion]\n"
         "                    [--backend NAME] [--list-backends]\n"
-        "                    [--clusters N] [--paper] [--shards N]\n"
-        "                    [--scale N]\n"
+        "                    [--clusters N] [--paper] [--scale N]\n"
         "                    [--seed N] [--dir-entries N] [--dir-assoc N]\n"
         "                    [--dir4b] [--occupancy] [--no-verify]\n"
         "                    [--table-cache N] [--trace CATEGORIES]\n"
@@ -164,12 +161,6 @@ main(int argc, char **argv)
             clusters = std::atoi(next("--clusters"));
         } else if (!std::strcmp(argv[i], "--paper")) {
             paper = true;
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            opts.shards = std::atoi(next("--shards"));
-            if (opts.shards < 1) {
-                std::cerr << "--shards must be >= 1\n";
-                usage(1);
-            }
         } else if (!std::strcmp(argv[i], "--scale")) {
             params.scale = std::atoi(next("--scale"));
         } else if (!std::strcmp(argv[i], "--seed")) {

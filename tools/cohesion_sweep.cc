@@ -103,9 +103,6 @@ usage(int code)
         "  --list-backends        print registered backends and exit\n"
         "  --jobs N               worker threads (default: all cores;\n"
         "                         baseline perf runs default to 1)\n"
-        "  --shards N             intra-run shard threads per job\n"
-        "                         (bit-identical results for any N;\n"
-        "                         overrides the spec's options.shards)\n"
         "  --out FILE             results JSON (\"-\" = stdout)\n"
         "  --journal FILE         append each finished job to FILE as a\n"
         "                         JSON line; SIGINT/SIGTERM then stop the\n"
@@ -234,7 +231,7 @@ struct ProgressCli
 };
 
 int
-runSpec(const std::string &spec_path, unsigned jobs, unsigned shards,
+runSpec(const std::string &spec_path, unsigned jobs,
         const std::string &out_path, const std::string &journal_path,
         bool resume, const ProgressCli &pcli,
         const std::vector<std::string> &backends,
@@ -258,8 +255,6 @@ runSpec(const std::string &spec_path, unsigned jobs, unsigned shards,
     }
     if (!backends.empty())
         spec.backends = backends; // CLI overrides the spec's axis
-    if (shards)
-        spec.shards = shards; // CLI overrides options.shards
 
     std::vector<sim::SweepPoint> points = spec.expand();
 
@@ -602,7 +597,6 @@ main(int argc, char **argv)
     bool resume = false;
     unsigned jobs = 0;
     bool jobs_given = false;
-    unsigned shards = 0;
     double tol_pct = 0.0;
     double perf_tol_pct = 30.0;
     bool metrics_only = false, perf_only = false, quick = false;
@@ -625,12 +619,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--jobs")) {
             jobs = std::atoi(next("--jobs"));
             jobs_given = true;
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            shards = std::atoi(next("--shards"));
-            if (shards < 1) {
-                std::cerr << "--shards must be >= 1\n";
-                usage(1);
-            }
         } else if (!std::strcmp(argv[i], "--out")) {
             out_path = next("--out");
         } else if (!std::strcmp(argv[i], "--journal")) {
@@ -720,8 +708,8 @@ main(int argc, char **argv)
     }
 
     if (!spec_path.empty() || ablation)
-        return runSpec(spec_path, jobs, shards, out_path, journal_path,
-                       resume, pcli, backends, kernel_filter);
+        return runSpec(spec_path, jobs, out_path, journal_path, resume,
+                       pcli, backends, kernel_filter);
     return runBaseline(baseline_path, jobs, jobs_given, tol_pct,
                        perf_tol_pct, metrics_only, perf_only,
                        std::move(kernel_filter), out_path, pcli);

@@ -25,9 +25,7 @@
  *                    transaction waited, recursively) and print a
  *                    waterfall; with --perfetto, write the chain as
  *                    nested duration events instead of instants.
- *                    The walk reads only the dump, so the output is
- *                    byte-identical for any --shards value that
- *                    produced it.
+ *                    The walk reads only the dump.
  *
  * Exit codes: 0 ok, 1 usage / output error, 3 dump file missing or
  * unreadable, 4 dump corrupt or truncated. Scripts can tell "the run
