@@ -2,13 +2,19 @@
  * @file
  * google-benchmark microbenchmarks for the simulator's building
  * blocks: event queue throughput, cache array probes/fills, directory
- * organizations (infinite vs sparse vs fully associative), sharer-set
+ * organizations (infinite vs sparse vs fully associative), the
+ * per-message bookkeeping tables (MSHRs, line locks), sharer-set
  * operations, DRAM channel accesses, the tbloff hash, and end-to-end
- * simulated-cycles-per-host-second for a small kernel.
+ * simulated-cycles-per-host-second for a small kernel. Times are
+ * ns per iteration.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "arch/await.hh"
+#include "arch/cluster.hh"
 #include "cache/cache_array.hh"
 #include "coherence/directory.hh"
 #include "harness/runner.hh"
@@ -100,6 +106,75 @@ BM_DirectorySparseLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DirectorySparseLookup);
+
+/** Fig. 9A's 512-entry fully-associative directory, full: each
+ *  iteration finds a resident line, evicts the LRU entry and installs
+ *  a new one (one find + erase + insert). */
+void
+BM_DirectoryFa512Churn(benchmark::State &state)
+{
+    coherence::Directory d(
+        coherence::DirectoryConfig::fullyAssociative(512), 128);
+    mem::Addr next = 0;
+    for (; next < 512 * mem::lineBytes; next += mem::lineBytes)
+        d.insert(next);
+    sim::Rng rng(5);
+    for (auto _ : state) {
+        mem::Addr hit = next - (1 + rng.next() % 512) * mem::lineBytes;
+        benchmark::DoNotOptimize(d.find(hit));
+        d.erase(d.victim(next).base);
+        d.insert(next).sharers.add(3);
+        next += mem::lineBytes;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryFa512Churn);
+
+/** A cluster's MSHRs with 16 misses in flight: each iteration opens
+ *  one (with a waiter), looks it up, and retires the oldest into the
+ *  fill's scratch list. */
+void
+BM_MshrOpenFindRetire(benchmark::State &state)
+{
+    arch::MshrTable mshrs;
+    std::vector<arch::MshrTable::Waiter> scratch;
+    const arch::MshrTable::Waiter w{nullptr, false, 0, 4, 0};
+    mem::Addr next = 0;
+    for (; next < 16 * mem::lineBytes; next += mem::lineBytes)
+        mshrs.open(next, arch::ReqType::Read).waiters.push_back(w);
+    mem::Addr oldest = 0;
+    for (auto _ : state) {
+        mshrs.open(next, arch::ReqType::Read).waiters.push_back(w);
+        benchmark::DoNotOptimize(mshrs.find(next));
+        mshrs.retire(oldest, scratch);
+        scratch.clear();
+        next += mem::lineBytes;
+        oldest += mem::lineBytes;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MshrOpenFindRetire);
+
+/** A bank's line locks with 16 lines held: each iteration takes a
+ *  free line (the uncontended await path) and releases it. */
+void
+BM_LineLockAcquireRelease(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    arch::LineLockTable locks(eq);
+    for (std::uint32_t l = 0; l < 16; ++l)
+        locks.acquire((1u << 20) | l).await_resume();
+    std::uint32_t line = 0;
+    for (auto _ : state) {
+        auto acq = locks.acquire(line);
+        if (acq.await_ready())
+            acq.await_resume();
+        locks.release(line);
+        line = (line + 1) & 1023;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LineLockAcquireRelease);
 
 void
 BM_SharerSetFullMap(benchmark::State &state)

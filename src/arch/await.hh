@@ -12,11 +12,10 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/event_queue.hh"
+#include "sim/flat_table.hh"
 #include "sim/host_profiler.hh"
 #include "sim/logging.hh"
 
@@ -136,7 +135,10 @@ class AckGate
 /**
  * Per-line mutual exclusion for home-bank transactions. Acquisition
  * order is FIFO; release hands the line to the next waiter via a
- * zero-delay event (avoiding unbounded resume recursion).
+ * zero-delay event (avoiding unbounded resume recursion). A line has
+ * a state slot only while it is held; its waiters queue in a list of
+ * pooled nodes, so neither locking nor queueing allocates once the
+ * pools have grown to the bank's working set.
  */
 class LineLockTable
 {
@@ -151,20 +153,25 @@ class LineLockTable
         bool
         await_ready() const
         {
-            auto it = table._lines.find(line);
-            return it == table._lines.end() || !it->second.held;
+            return table._index.find(line) == sim::noSlot;
         }
 
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            table._lines[line].waiters.push_back(h);
+            std::uint32_t w = table._waiters.alloc();
+            table._waiters[w].handle = h;
+            table._queues[table._index.find(line)].pushBack(
+                table._waiters, w);
         }
 
         void
         await_resume() const
         {
-            table._lines[line].held = true;
+            // A waiter resumes already holding the line (release()
+            // handed it over); a free line gets its state slot here.
+            if (table._index.find(line) == sim::noSlot)
+                table._index.insert(line, table._queues.alloc());
         }
     };
 
@@ -175,17 +182,21 @@ class LineLockTable
     void
     release(std::uint32_t line)
     {
-        auto it = _lines.find(line);
-        panic_if(it == _lines.end() || !it->second.held,
-                 "releasing a line lock that is not held");
-        if (it->second.waiters.empty()) {
-            _lines.erase(it);
+        std::uint32_t s = _index.find(line);
+        panic_if(s == sim::noSlot, "releasing a line lock that is not held");
+        sim::SlotList &queue = _queues[s];
+        if (queue.empty()) {
+            _index.erase(line);
+            _queues.free(s);
             return;
         }
-        // Hand the hold directly to the next waiter (held stays true so
-        // a newcomer cannot sneak in before the waiter's resume event).
-        auto h = it->second.waiters.front();
-        it->second.waiters.pop_front();
+        // Hand the hold directly to the next waiter (the line stays
+        // held so a newcomer cannot sneak in before the waiter's
+        // resume event).
+        std::uint32_t w = queue.head;
+        auto h = _waiters[w].handle;
+        queue.unlink(_waiters, w);
+        _waiters.free(w);
         // The waiter is another transaction of the same component:
         // re-open the releasing phase around its resume, but as a
         // fresh stride-sampled entry, not a Resume continuation — the
@@ -203,18 +214,21 @@ class LineLockTable
     bool
     busy(std::uint32_t line) const
     {
-        return _lines.count(line) != 0;
+        return _index.find(line) != sim::noSlot;
     }
 
   private:
-    struct LineState
+    struct Waiter
     {
-        bool held = false;
-        std::deque<std::coroutine_handle<>> waiters;
+        std::coroutine_handle<> handle;
+        std::uint32_t prev = sim::noSlot;
+        std::uint32_t next = sim::noSlot;
     };
 
     sim::EventQueue &_eq;
-    std::unordered_map<std::uint32_t, LineState> _lines;
+    sim::FlatIndex _index; ///< held line -> its waiter queue's slot
+    sim::SlotPool<sim::SlotList> _queues; ///< FIFOs, head = next owner
+    sim::SlotPool<Waiter> _waiters;
 };
 
 /**

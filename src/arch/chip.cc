@@ -725,6 +725,8 @@ Chip::postMortemHistory() const
     // transaction or a cluster MSHR, capped so a wedged broadcast
     // can't turn the dump into a novel.
     std::vector<mem::Addr> lines;
+    // Transactions by id within each bank, then MSHRs by line base
+    // within each cluster: the order is the machine's, not a table's.
     auto note = [&](mem::Addr base) {
         if (std::find(lines.begin(), lines.end(), base) == lines.end())
             lines.push_back(base);
@@ -1011,12 +1013,16 @@ Chip::runUntilQuiescent()
     host_clock::time_point last_emit = host_clock::now();
     unsigned beat_countdown = 0;
 
+    // One exact-phase scope rides the loop and switches between the
+    // barrier and dispatch with one clock read per switch, so window
+    // boundaries leave no unattributed gap.
+    sim::HostProfiler::Scope phase(sim::HostProfiler::Phase::Barrier);
     while (true) {
-        sim::HostProfiler::Scope pick(sim::HostProfiler::Phase::Barrier);
         sim::Tick bound = std::min(_router.head(), _eq.nextEventTick());
         if (bound == sim::maxTick)
             break; // quiescent
         if (bound > limit) {
+            rethrowFailedTransaction();
             std::string dump = inFlightDump() + postMortemHistory();
             TRACE(_tracer, sim::Category::Watchdog,
                   "watchdog: cycle limit hit; in-flight:\n", dump);
@@ -1030,17 +1036,13 @@ Chip::runUntilQuiescent()
         sim::Tick stop = std::min(
             std::min(std::min(limit, window_end), bound + horizon),
             std::min(std::min(next_audit, next_pump), next_sample));
-        pick.close();
 
-        {
-            sim::HostProfiler::Scope hp(
-                sim::HostProfiler::Phase::EqDispatch);
-            _router.flush(stop, _eq);
-            _eq.run(stop);
-        }
+        phase.switchTo(sim::HostProfiler::Phase::EqDispatch);
+        _router.flush(stop, _eq);
+        _eq.run(stop);
 
         // --- Window barrier ------------------------------------------
-        sim::HostProfiler::Scope drain(sim::HostProfiler::Phase::Barrier);
+        phase.switchTo(sim::HostProfiler::Phase::Barrier);
         drainRecStage();
         bool cadence_due = stop >= next_audit || stop >= next_pump ||
                            stop >= next_sample || stop >= window_end;
@@ -1049,7 +1051,7 @@ Chip::runUntilQuiescent()
             // pending message or event is <= stop any more.
             _eq.advanceTo(stop);
             // The cadences below time themselves.
-            drain.close();
+            phase.close();
             if (stop >= next_audit) {
                 sim::HostProfiler::Scope hp(
                     sim::HostProfiler::Phase::Audit);
@@ -1070,6 +1072,7 @@ Chip::runUntilQuiescent()
             if (stop >= window_end) {
                 Progress cur = progress();
                 if (_config.watchdogWindow && cur == last) {
+                    rethrowFailedTransaction();
                     std::string dump =
                         inFlightDump() + postMortemHistory();
                     TRACE(_tracer, sim::Category::Watchdog,
@@ -1084,6 +1087,7 @@ Chip::runUntilQuiescent()
                 last = cur;
                 window_end = stop + window;
             }
+            phase.switchTo(sim::HostProfiler::Phase::Barrier);
         }
         if (_progressFn && beat_countdown-- == 0) {
             beat_countdown = 32;
@@ -1097,6 +1101,10 @@ Chip::runUntilQuiescent()
         }
     }
 
+    // A transaction that died mid-flight leaves its requester waiting
+    // forever; report the error, not the hang it causes.
+    rethrowFailedTransaction();
+
     // End normalization: the clock lands on the last fired event, so a
     // later run (or a checkpoint) continues from one well-defined
     // point. A cadence barrier may already have advanced the clock
@@ -1106,6 +1114,7 @@ Chip::runUntilQuiescent()
         std::max(entry, std::max(_eq.lastFired(), _eq.now()));
     _eq.advanceTo(final_tick);
     drainRecStage();
+    phase.close();
     // The final event may land exactly on the sampling cadence.
     if (final_tick >= _timeSeries.nextSampleAt()) {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Sampler);
@@ -1114,6 +1123,13 @@ Chip::runUntilQuiescent()
     if (_progressFn)
         _progressFn(final_tick, totalEventsRun());
     return final_tick;
+}
+
+void
+Chip::rethrowFailedTransaction() const
+{
+    for (const auto &b : _banks)
+        b->rethrowFailedTransaction();
 }
 
 MsgCounters

@@ -437,7 +437,9 @@ class Chip
      * nothing posted inside a window can land inside it. Audit passes,
      * the fault pump, the sampler, the watchdog and the heartbeat all
      * run at the window barrier. Throws DeadlockError on stagnation or
-     * the maxCycles limit.
+     * the maxCycles limit, and rethrows the error of a bank
+     * transaction that died (before either, and at the latest when the
+     * run ends).
      * @return final tick (the last fired event; the queue's clock is
      * normalized to it, so a later run or checkpoint continues from
      * one well-defined point).
@@ -479,6 +481,10 @@ class Chip
      *  invokes faultPump() at the plan's pump cadence. */
     bool pumpEligible() const;
     void faultPump();
+
+    /** Rethrow the first error of a finished bank transaction that no
+     *  later request has pruned yet (no-op when none failed). */
+    void rethrowFailedTransaction() const;
 
     unsigned srcKeyCluster(unsigned c) const { return c; }
     unsigned srcKeyBank(unsigned b) const { return _config.numClusters + b; }

@@ -1,5 +1,6 @@
 #include "arch/cluster.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "arch/chip.hh"
@@ -28,12 +29,6 @@ Cluster::Cluster(Chip &chip, unsigned id)
       _l2PortFree(chip.config().l2Ports, 0)
 {
     const MachineConfig &cfg = chip.config();
-    // Pre-size the MSHR table: outstanding misses are bounded by a few
-    // entries per core in practice, so one up-front reservation ends
-    // the rehash/alloc churn the miss path would otherwise pay mid-run.
-    // (Outstanding writebacks live in a BoundedIdSet with its own hard
-    // cap; it sizes itself.)
-    _mshrs.reserve(4 * cfg.coresPerCluster);
     for (unsigned c = 0; c < cfg.coresPerCluster; ++c) {
         _cores.push_back(std::make_unique<Core>(
             *this, id * cfg.coresPerCluster + c, c, cfg.l1iBytes,
@@ -132,7 +127,7 @@ Cluster::selectVictim(mem::Addr base)
         cache::Line &line = set[w];
         if (!line.valid)
             return line;
-        if (_mshrs.count(line.base))
+        if (_mshrs.contains(line.base))
             continue; // fill or upgrade in flight; not safe to evict
         if (!best || line.lruStamp < best->lruStamp)
             best = &line;
@@ -277,9 +272,8 @@ Cluster::fetchLine(Core &core, mem::Addr addr)
         _l2Misses.inc();
         // Fire-and-forget instruction request; nothing consumes the
         // bytes, so the core only pays the latency.
-        if (!_mshrs.count(base)) {
-            MshrEntry &m = _mshrs[base];
-            m.sentType = ReqType::Instr;
+        if (!_mshrs.contains(base)) {
+            MshrEntry &m = _mshrs.open(base, ReqType::Instr);
             Request r;
             r.type = ReqType::Instr;
             r.cluster = _id;
@@ -358,14 +352,12 @@ Cluster::coreLoad(Core &core, mem::Addr addr, unsigned bytes)
     _l2Misses.inc();
     core.setLocalTime(t);
 
-    auto it = _mshrs.find(base);
-    if (it != _mshrs.end()) {
-        it->second.waiters.push_back(
+    if (MshrEntry *inflight = _mshrs.find(base)) {
+        inflight->waiters.push_back(
             Waiter{&core, false, addr, bytes, 0, false, _chip.eq().now()});
         return MemOp::pending(core);
     }
-    MshrEntry &m = _mshrs[base];
-    m.sentType = ReqType::Read;
+    MshrEntry &m = _mshrs.open(base, ReqType::Read);
     m.waiters.push_back(
         Waiter{&core, false, addr, bytes, 0, false, _chip.eq().now()});
 
@@ -425,9 +417,8 @@ Cluster::coreStore(Core &core, mem::Addr addr, std::uint32_t value,
         if (l2line->hwState == cache::CohState::Shared) {
             _l2Misses.inc();
             core.setLocalTime(t);
-            auto it = _mshrs.find(base);
-            if (it != _mshrs.end()) {
-                it->second.waiters.push_back(Waiter{
+            if (MshrEntry *inflight = _mshrs.find(base)) {
+                inflight->waiters.push_back(Waiter{
                     &core, true, addr, bytes, value, false,
                     _chip.eq().now()});
                 return MemOp::pending(core);
@@ -441,8 +432,7 @@ Cluster::coreStore(Core &core, mem::Addr addr, std::uint32_t value,
                 // ordered only once the bank serializes it.
                 applyStore(*l2line, addr, value, bytes);
                 mem::WordMask wmask = l2line->dirtyMask;
-                MshrEntry &m = _mshrs[base];
-                m.sentType = ReqType::Write;
+                MshrEntry &m = _mshrs.open(base, ReqType::Write);
                 m.waiters.push_back(Waiter{&core, true, addr, bytes,
                                            value, true, _chip.eq().now()});
                 Request r;
@@ -459,8 +449,7 @@ Cluster::coreStore(Core &core, mem::Addr addr, std::uint32_t value,
                 return MemOp::pending(core);
             }
             // S -> M upgrade through the directory.
-            MshrEntry &m = _mshrs[base];
-            m.sentType = ReqType::Write;
+            MshrEntry &m = _mshrs.open(base, ReqType::Write);
             m.upgradeSent = true;
             m.waiters.push_back(Waiter{&core, true, addr, bytes, value,
                                        false, _chip.eq().now()});
@@ -483,9 +472,8 @@ Cluster::coreStore(Core &core, mem::Addr addr, std::uint32_t value,
         // TCMM write-allocate: the store retires immediately; the fill
         // request completes in the background and merges around the
         // locally dirty words.
-        auto it = _mshrs.find(base);
-        if (it != _mshrs.end()) {
-            it->second.waiters.push_back(Waiter{
+        if (MshrEntry *inflight = _mshrs.find(base)) {
+            inflight->waiters.push_back(Waiter{
                 &core, true, addr, bytes, value, false, _chip.eq().now()});
             return MemOp::pending(core);
         }
@@ -495,8 +483,7 @@ Cluster::coreStore(Core &core, mem::Addr addr, std::uint32_t value,
         _l2.claim(v, base);
         v.incoherent = true;
         applyStore(v, addr, value, bytes);
-        MshrEntry &m = _mshrs[base];
-        m.sentType = ReqType::Write;
+        MshrEntry &m = _mshrs.open(base, ReqType::Write);
         Request r;
         r.type = ReqType::Write;
         r.cluster = _id;
@@ -509,14 +496,12 @@ Cluster::coreStore(Core &core, mem::Addr addr, std::uint32_t value,
 
     // Cohesion / HWcc: the store blocks until the home bank responds
     // (M grant or an incoherent fill for SWcc-domain data).
-    auto it = _mshrs.find(base);
-    if (it != _mshrs.end()) {
-        it->second.waiters.push_back(Waiter{
+    if (MshrEntry *inflight = _mshrs.find(base)) {
+        inflight->waiters.push_back(Waiter{
             &core, true, addr, bytes, value, false, _chip.eq().now()});
         return MemOp::pending(core);
     }
-    MshrEntry &m = _mshrs[base];
-    m.sentType = ReqType::Write;
+    MshrEntry &m = _mshrs.open(base, ReqType::Write);
     m.waiters.push_back(Waiter{&core, true, addr, bytes, value, false,
                                _chip.eq().now()});
     Request r;
@@ -547,7 +532,7 @@ Cluster::coreAtomic(Core &core, AtomicOp op, mem::Addr addr,
     // of a clean Exclusive line would leave the home bank waiting
     // forever for a writeback that never comes).
     if (cache::Line *l2line = _l2.probe(base)) {
-        if (_mshrs.count(base)) {
+        if (_mshrs.contains(base)) {
             // A fill or upgrade for this line is already in flight; an
             // eviction notification now would cross it and corrupt the
             // directory's sharer view. Leave the copy — the home
@@ -746,10 +731,14 @@ Cluster::installFill(const Response &resp)
           ": fill 0x", std::hex, resp.addr, std::dec,
           resp.incoherent ? " incoherent" : " coherent");
     mem::Addr base = mem::lineBase(resp.addr);
-    auto it = _mshrs.find(base);
-    if (it == _mshrs.end() || it->second.expectId != resp.msgId)
+    const MshrEntry *m = _mshrs.find(base);
+    if (!m || m->expectId != resp.msgId)
         return false; // duplicated or stale fill (fault injection)
-    auto node = _mshrs.extract(it);
+    // Retire the MSHR into the reused scratch list. The scratch
+    // vectors are taken, not borrowed, so a re-entrant fill could only
+    // cost an allocation.
+    std::vector<Waiter> waiters = std::move(_fillWaiters);
+    _mshrs.retire(base, waiters);
 
     cache::Line *line = _l2.probe(base);
     if (!line) {
@@ -774,13 +763,12 @@ Cluster::installFill(const Response &resp)
               static_cast<std::uint8_t>(line->hwState),
               resp.incoherent ? FR::respIncoherent : 0);
 
-    MshrEntry m = std::move(node.mapped());
-
     // Apply stores and compute load results first; resume afterwards
     // so re-entrant ops from resumed coroutines cannot disturb the
     // line mid-service.
-    std::vector<std::pair<Core *, std::uint64_t>> completions;
-    std::vector<Waiter> upgrade_waiters;
+    std::vector<std::pair<Core *, std::uint64_t>> completions =
+        std::move(_completions);
+    std::vector<Waiter> upgrade_waiters = std::move(_upgradeWaiters);
     bool can_store = line->incoherent ||
                      line->hwState == cache::CohState::Modified ||
                      line->hwState == cache::CohState::Exclusive;
@@ -788,12 +776,12 @@ Cluster::installFill(const Response &resp)
         // Stores joined a read miss that was granted Exclusive:
         // silent upgrade.
         bool any_store = false;
-        for (const Waiter &w : m.waiters)
+        for (const Waiter &w : waiters)
             any_store |= w.isStore;
         if (any_store)
             line->hwState = cache::CohState::Modified;
     }
-    for (const Waiter &w : m.waiters) {
+    for (const Waiter &w : waiters) {
         if (w.isStore) {
             if (can_store) {
                 applyStore(*line, w.addr, w.value, w.bytes);
@@ -828,12 +816,9 @@ Cluster::installFill(const Response &resp)
                 w.sent = true;
             }
             mem::WordMask wmask = line->dirtyMask;
-            MshrEntry wt;
-            wt.sentType = ReqType::Write;
             unsigned core_id = upgrade_waiters.front().core->localId();
-            wt.waiters = std::move(upgrade_waiters);
-            MshrEntry &slot =
-                _mshrs.emplace(base, std::move(wt)).first->second;
+            MshrEntry &wt = _mshrs.open(base, ReqType::Write);
+            wt.waiters.swap(upgrade_waiters);
             Request r;
             r.type = ReqType::Write;
             r.cluster = _id;
@@ -844,17 +829,13 @@ Cluster::installFill(const Response &resp)
             r.opStart = earliest;
             r.fromMshr = true;
             line->dirtyMask = 0; // write-through: L2 stays clean
-            slot.expectId = sendRequest(r, MsgClass::WriteRequest,
-                                        _chip.eq().now(),
-                                        maskWords(wmask));
+            wt.expectId = sendRequest(r, MsgClass::WriteRequest,
+                                      _chip.eq().now(), maskWords(wmask));
         } else {
-            MshrEntry up;
-            up.sentType = ReqType::Write;
-            up.upgradeSent = true;
             unsigned core_id = upgrade_waiters.front().core->localId();
-            up.waiters = std::move(upgrade_waiters);
-            MshrEntry &slot =
-                _mshrs.emplace(base, std::move(up)).first->second;
+            MshrEntry &up = _mshrs.open(base, ReqType::Write);
+            up.upgradeSent = true;
+            up.waiters.swap(upgrade_waiters);
             Request r;
             r.type = ReqType::Write;
             r.cluster = _id;
@@ -863,15 +844,21 @@ Cluster::installFill(const Response &resp)
             r.upgrade = true;
             r.opStart = earliest;
             r.fromMshr = true;
-            slot.expectId =
+            up.expectId =
                 sendRequest(r, MsgClass::WriteRequest, _chip.eq().now(), 0);
         }
     }
+    waiters.clear();
+    _fillWaiters = std::move(waiters);
+    upgrade_waiters.clear();
+    _upgradeWaiters = std::move(upgrade_waiters);
 
     for (auto &[c, value] : completions) {
         c->advanceLocalTime(_chip.eq().now());
         c->completeOp(value);
     }
+    completions.clear();
+    _completions = std::move(completions);
     return true;
 }
 

@@ -17,12 +17,10 @@
 #ifndef COHESION_ARCH_CLUSTER_HH
 #define COHESION_ARCH_CLUSTER_HH
 
-#include <deque>
+#include <algorithm>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "arch/core.hh"
@@ -31,6 +29,7 @@
 #include "cache/cache_array.hh"
 #include "mem/types.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_table.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 
@@ -54,9 +53,13 @@ class BoundedIdSet
     explicit BoundedIdSet(std::size_t cap) : _cap(cap ? cap : 1) {}
 
     std::size_t capacity() const { return _cap; }
-    std::size_t size() const { return _ids.size(); }
-    bool empty() const { return _ids.empty(); }
-    bool contains(std::uint32_t id) const { return _ids.count(id) != 0; }
+    std::size_t size() const { return _order.size; }
+    bool empty() const { return _order.empty(); }
+    bool
+    contains(std::uint32_t id) const
+    {
+        return _index.find(id) != sim::noSlot;
+    }
 
     /** Total oldest-entry evictions forced by the capacity bound. */
     const sim::Counter &evictions() const { return _evicted; }
@@ -66,13 +69,11 @@ class BoundedIdSet
     bool
     insert(std::uint32_t id)
     {
-        if (_ids.count(id))
+        if (contains(id))
             return false;
-        _order.push_back(id);
-        _ids.emplace(id, std::prev(_order.end()));
-        while (_ids.size() > _cap) {
-            _ids.erase(_order.front());
-            _order.pop_front();
+        append(id);
+        while (_order.size > _cap) {
+            erase(_nodes[_order.head].id);
             _evicted.inc();
         }
         return true;
@@ -82,43 +83,166 @@ class BoundedIdSet
     bool
     erase(std::uint32_t id)
     {
-        auto it = _ids.find(id);
-        if (it == _ids.end())
+        std::uint32_t s = _index.find(id);
+        if (s == sim::noSlot)
             return false;
-        _order.erase(it->second);
-        _ids.erase(it);
+        _order.unlink(_nodes, s);
+        _index.erase(id);
+        _nodes.free(s);
         return true;
     }
 
     void
     checkpointState(sim::Serializer &ser) const
     {
-        ser.u64(_order.size());
-        for (std::uint32_t id : _order)
-            ser.u32(id);
+        ser.u64(_order.size);
+        for (std::uint32_t s = _order.head; s != sim::noSlot;
+             s = _nodes[s].next)
+            ser.u32(_nodes[s].id);
         _evicted.checkpointState(ser);
     }
 
     void
     restoreState(sim::Deserializer &des)
     {
-        _order.clear();
-        _ids.clear();
+        _index.clear();
+        _nodes.reset();
+        _order = sim::SlotList{};
         std::uint64_t n = des.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
             std::uint32_t id = des.u32();
-            _order.push_back(id);
-            _ids.emplace(id, std::prev(_order.end()));
+            if (contains(id))
+                throw sim::SnapshotError("snapshot corrupt: duplicate id");
+            append(id);
         }
         _evicted.restoreState(des);
     }
 
   private:
+    struct Node
+    {
+        std::uint32_t id = 0;
+        std::uint32_t prev = sim::noSlot;
+        std::uint32_t next = sim::noSlot;
+    };
+
+    void
+    append(std::uint32_t id)
+    {
+        std::uint32_t s = _nodes.alloc();
+        _nodes[s].id = id;
+        _order.pushBack(_nodes, s);
+        _index.insert(id, s);
+    }
+
     std::size_t _cap;
-    std::list<std::uint32_t> _order; ///< front = oldest insertion.
-    std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>
-        _ids;
+    sim::SlotPool<Node> _nodes;
+    sim::SlotList _order; ///< head = oldest insertion
+    sim::FlatIndex _index; ///< id -> slot in _nodes
     sim::Counter _evicted;
+};
+
+/**
+ * A cluster's miss status holding registers: at most one entry per
+ * line with a fill or upgrade in flight, holding the core operations
+ * that wait on it. Entries live in a slot pool behind a flat index,
+ * so opening and retiring one allocates nothing once the pool has
+ * grown: a retired entry's waiter vector keeps its capacity for the
+ * next miss that reuses the slot.
+ */
+class MshrTable
+{
+  public:
+    /** One core operation parked on a miss. */
+    struct Waiter
+    {
+        Core *core;
+        bool isStore;
+        mem::Addr addr;
+        unsigned bytes;
+        std::uint32_t value;
+        /** Write-through backends only: this store's words already
+         *  rode out on the in-flight Write, so the ack completes it
+         *  without re-applying (unless the fill came back SWcc — the
+         *  bank ignores write data on the incoherent path). */
+        bool sent = false;
+        /** Tick the waiter joined the MSHR: the anchor for follow-up
+         *  requests synthesized at fill time (their pre-send span is
+         *  MSHR wait, not core issue). Needs no serialization — MSHRs
+         *  are empty at any checkpoint. */
+        sim::Tick born = 0;
+    };
+
+    struct Entry
+    {
+        ReqType sentType = ReqType::Read;
+        bool upgradeSent = false;
+        std::uint32_t expectId = 0; ///< msgId of the awaited response.
+        std::vector<Waiter> waiters;
+    };
+
+    /** The open entry for @p base's line, or null. */
+    Entry *
+    find(mem::Addr base)
+    {
+        std::uint32_t s = _index.find(mem::lineNumber(base));
+        return s == sim::noSlot ? nullptr : &_slots[s];
+    }
+
+    bool
+    contains(mem::Addr base) const
+    {
+        return _index.find(mem::lineNumber(base)) != sim::noSlot;
+    }
+
+    /** Open an entry for @p base's line, which must have none. */
+    Entry &
+    open(mem::Addr base, ReqType sent_type)
+    {
+        std::uint32_t s = _slots.alloc();
+        _index.insert(mem::lineNumber(base), s);
+        Entry &e = _slots[s];
+        e.sentType = sent_type;
+        e.upgradeSent = false;
+        e.expectId = 0;
+        e.waiters.clear(); // keeps the capacity of the slot's last use
+        return e;
+    }
+
+    /**
+     * Close @p base's entry, handing its waiters to the caller: they
+     * are swapped into @p waiters (which should be empty), and the
+     * slot keeps @p waiters' old buffer for its next use.
+     */
+    void
+    retire(mem::Addr base, std::vector<Waiter> &waiters)
+    {
+        std::uint32_t s = _index.find(mem::lineNumber(base));
+        panic_if(s == sim::noSlot, "retiring an MSHR that is not open");
+        waiters.swap(_slots[s].waiters);
+        _index.erase(mem::lineNumber(base));
+        _slots.free(s);
+    }
+
+    std::size_t size() const { return _index.size(); }
+
+    /** Visit every open entry by ascending line base. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> open;
+        _index.forEach([&](std::uint32_t line, std::uint32_t s) {
+            open.emplace_back(line, s);
+        });
+        std::sort(open.begin(), open.end());
+        for (const auto &[line, s] : open)
+            fn(static_cast<mem::Addr>(line << mem::lineShift), _slots[s]);
+    }
+
+  private:
+    sim::SlotPool<Entry> _slots;
+    sim::FlatIndex _index; ///< line number -> slot in _slots
 };
 
 class Cluster
@@ -191,45 +315,22 @@ class Cluster
     /** Outstanding fill/upgrade MSHRs (host occupancy gauge). */
     std::size_t mshrCount() const { return _mshrs.size(); }
 
-    /** Visit every MSHR, keyed by line base (watchdog in-flight dump,
-     *  the coherence auditor's in-flux filter). */
+    /** Visit every MSHR by ascending line base (watchdog in-flight
+     *  dump, the coherence auditor's in-flux filter). */
     void
     forEachMshr(const std::function<void(mem::Addr, ReqType,
                                          unsigned)> &fn) const
     {
-        for (const auto &[base, m] : _mshrs)
+        _mshrs.forEach([&](mem::Addr base, const MshrTable::Entry &m) {
             fn(base, m.sentType, static_cast<unsigned>(m.waiters.size()));
+        });
     }
 
   private:
     friend class Chip;
 
-    struct Waiter
-    {
-        Core *core;
-        bool isStore;
-        mem::Addr addr;
-        unsigned bytes;
-        std::uint32_t value;
-        /** Write-through backends only: this store's words already
-         *  rode out on the in-flight Write, so the ack completes it
-         *  without re-applying (unless the fill came back SWcc — the
-         *  bank ignores write data on the incoherent path). */
-        bool sent = false;
-        /** Tick the waiter joined the MSHR: the anchor for follow-up
-         *  requests synthesized at fill time (their pre-send span is
-         *  MSHR wait, not core issue). Needs no serialization — MSHRs
-         *  are empty at any checkpoint. */
-        sim::Tick born = 0;
-    };
-
-    struct MshrEntry
-    {
-        ReqType sentType = ReqType::Read;
-        bool upgradeSent = false;
-        std::uint32_t expectId = 0; ///< msgId of the awaited response.
-        std::vector<Waiter> waiters;
-    };
+    using Waiter = MshrTable::Waiter;
+    using MshrEntry = MshrTable::Entry;
 
     /** Arbitrate for an L2 port at local time @p when; returns the
      *  tick at which the access completes. */
@@ -285,7 +386,10 @@ class Cluster
     std::vector<std::unique_ptr<Core>> _cores;
     cache::CacheArray _l2;
     std::vector<sim::Tick> _l2PortFree;
-    std::unordered_map<mem::Addr, MshrEntry> _mshrs;
+    MshrTable _mshrs;
+    // installFill's scratch, reused so a fill allocates nothing.
+    std::vector<Waiter> _fillWaiters, _upgradeWaiters;
+    std::vector<std::pair<Core *, std::uint64_t>> _completions;
 
     std::uint32_t _msgSeq = 0;
     BoundedIdSet _pendingWb{pendingWbCapacity};
@@ -311,7 +415,7 @@ class Cluster
     checkpointState(sim::Serializer &ser) const
     {
         ser.tag("cluster");
-        if (!_mshrs.empty()) {
+        if (_mshrs.size() != 0) {
             throw sim::SnapshotError(
                 "checkpoint with cluster MSHRs in flight");
         }

@@ -26,42 +26,68 @@ L3Bank::L3Bank(Chip &chip, unsigned id)
       _backend(coherence::makeBackend(chip.config().backend, *this))
 {
     _tableCache.setFaultInjector(&chip.faults(), id);
-    _txns.reserve(64);
+}
+
+L3Bank::~L3Bank()
+{
+    // Destroying a suspended transaction runs its Retire guard, which
+    // writes into _txns and _retired: tear the frames down while both
+    // are still whole.
+    for (std::uint32_t s = 0; s < _txns.created(); ++s)
+        _txns[s].task = sim::CoTask();
+}
+
+L3Bank::Retire::Retire(L3Bank &bank, std::uint32_t slot,
+                       const TxnRecord &rec)
+    : _bank(bank), _slot(slot)
+{
+    _bank._txns[slot].rec = rec;
+    _bank._txns[slot].running = true;
+}
+
+L3Bank::Retire::~Retire()
+{
+    _bank._txns[_slot].running = false;
+    _bank._retired.push_back(_slot);
 }
 
 void
 L3Bank::pruneTransactions()
 {
-    for (auto it = _running.begin(); it != _running.end();) {
-        if (it->done()) {
-            it->rethrow();
-            auto done_it = it++;
-            // Recycle the list node instead of freeing it: the frame
-            // slot moves to the spare list and the next transaction
-            // reuses it, so steady-state request arrival allocates no
-            // list nodes (the coroutine frame itself is unavoidable).
-            *done_it = sim::CoTask();
-            _spare.splice(_spare.begin(), _running, done_it);
-        } else {
-            ++it;
-        }
+    std::exception_ptr err;
+    for (std::uint32_t s : _retired) {
+        sim::CoTask &task = _txns[s].task;
+        if (!err)
+            err = task.error();
+        task = sim::CoTask(); // frees the finished frame
+        _txns.free(s);
     }
-    // Bound the spare pool: a fan-in burst can briefly strand many
-    // frames; keep a generous working set and return the rest.
-    while (_spare.size() > 256)
-        _spare.pop_back();
+    _retired.clear();
+    if (err)
+        std::rethrow_exception(err);
 }
 
-sim::CoTask &
-L3Bank::adoptTransaction(sim::CoTask &&task)
+void
+L3Bank::rethrowFailedTransaction() const
 {
-    if (_spare.empty()) {
-        _running.push_back(std::move(task));
-    } else {
-        _running.splice(_running.end(), _spare, _spare.begin());
-        _running.back() = std::move(task);
+    for (std::uint32_t s : _retired)
+        _txns[s].task.rethrow();
+}
+
+void
+L3Bank::forEachTxn(const std::function<void(const TxnRecord &)> &fn) const
+{
+    std::vector<const TxnRecord *> recs;
+    for (std::uint32_t s = 0; s < _txns.created(); ++s) {
+        if (_txns[s].running)
+            recs.push_back(&_txns[s].rec);
     }
-    return _running.back();
+    std::sort(recs.begin(), recs.end(),
+              [](const TxnRecord *a, const TxnRecord *b) {
+                  return a->id < b->id;
+              });
+    for (const TxnRecord *r : recs)
+        fn(*r);
 }
 
 void
@@ -85,16 +111,33 @@ L3Bank::receiveRequest(const Request &req)
                       sim::cat("bank", _id, ":", reqTypeName(req.type)),
                       "txn");
     }
+    // The pool never moves a slot, so the task stays put while its
+    // first segment runs inside start().
+    std::uint32_t s = claimSlot();
+    _txns[s].task = transaction(req, trace_id, s);
+    _txns[s].task.start();
+}
+
+std::uint32_t
+L3Bank::claimSlot()
+{
     pruneTransactions();
-    adoptTransaction(transaction(req, trace_id)).start();
+    std::uint32_t s = _txns.alloc();
+    // Room for every live slot to retire: the Retire guard's
+    // destructor then never reallocates, so it cannot throw.
+    if (_retired.capacity() < _txns.live())
+        _retired.reserve(2 * _txns.live());
+    return s;
 }
 
 sim::CoTask
-L3Bank::transaction(Request req, std::uint64_t trace_id)
+L3Bank::transaction(Request req, std::uint64_t trace_id,
+                    std::uint32_t slot)
 {
     const std::uint64_t txn = ++_txnSeq;
-    _txns.emplace(txn, TxnRecord{txn, req.type, mem::lineBase(req.addr),
-                                 req.cluster, _chip.eq().now()});
+    Retire retire(*this, slot,
+                  TxnRecord{txn, req.type, mem::lineBase(req.addr),
+                            req.cluster, _chip.eq().now()});
     // TxnBegin binds the bank-local txn sequence to the cluster's
     // msgId so the decoder can stitch the two id spaces together.
     _chip.rec(FR::Ev::TxnBegin, FR::compBank(_id), mem::lineBase(req.addr),
@@ -139,7 +182,6 @@ L3Bank::transaction(Request req, std::uint64_t trace_id)
             break;
         }
     }
-    _txns.erase(txn);
     _txnsCompleted.inc();
     _chip.rec(FR::Ev::TxnEnd, FR::compBank(_id), mem::lineBase(req.addr),
               static_cast<std::uint32_t>(txn), 0, req.msgId);
@@ -592,17 +634,18 @@ L3Bank::handleTableUpdate(Request req, sim::lat::Cursor *lat)
 void
 L3Bank::debugWedgeLine(mem::Addr base)
 {
-    pruneTransactions();
-    adoptTransaction(wedge(mem::lineBase(base))).start();
+    std::uint32_t s = claimSlot();
+    _txns[s].task = wedge(mem::lineBase(base), s);
+    _txns[s].task.start();
 }
 
 sim::CoTask
-L3Bank::wedge(mem::Addr base)
+L3Bank::wedge(mem::Addr base, std::uint32_t slot)
 {
     const std::uint32_t key = mem::lineNumber(base);
     const std::uint64_t txn = ++_txnSeq;
-    _txns.emplace(txn, TxnRecord{txn, ReqType::Read, base, 0,
-                                 _chip.eq().now()});
+    Retire retire(*this, slot,
+                  TxnRecord{txn, ReqType::Read, base, 0, _chip.eq().now()});
     co_await _locks.acquire(key);
     Held held(_locks, key);
     // Park far beyond any cycle limit while holding the line lock:

@@ -26,9 +26,7 @@
 #define COHESION_ARCH_L3BANK_HH
 
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +38,7 @@
 #include "cohesion/table_cache.hh"
 #include "mem/types.hh"
 #include "sim/cotask.hh"
+#include "sim/flat_table.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 
@@ -56,6 +55,9 @@ class L3Bank
 {
   public:
     L3Bank(Chip &chip, unsigned id);
+    ~L3Bank();
+    L3Bank(const L3Bank &) = delete;
+    L3Bank &operator=(const L3Bank &) = delete;
 
     unsigned id() const { return _id; }
 
@@ -96,12 +98,9 @@ class L3Bank
     /** Accept a request (called at the fabric arrival event). */
     void receiveRequest(const Request &req);
 
-    /** In-flight protocol transactions (queue-depth proxy). */
-    unsigned
-    inFlight() const
-    {
-        return static_cast<unsigned>(_running.size());
-    }
+    /** Protocol transactions not yet pruned: the live ones plus the
+     *  finished ones awaiting pruneTransactions() (queue-depth proxy). */
+    unsigned inFlight() const { return _txns.live(); }
 
     /** One live protocol transaction (watchdog in-flight dump). */
     struct TxnRecord
@@ -113,13 +112,8 @@ class L3Bank
         sim::Tick start = 0;
     };
 
-    /** Visit every live transaction record. */
-    void
-    forEachTxn(const std::function<void(const TxnRecord &)> &fn) const
-    {
-        for (const auto &[id, t] : _txns)
-            fn(t);
-    }
+    /** Visit every running transaction record, by ascending id. */
+    void forEachTxn(const std::function<void(const TxnRecord &)> &fn) const;
 
     /** True if @p base's line lock is held by a transaction (used by
      *  the coherence auditor's in-flux filter). */
@@ -144,10 +138,15 @@ class L3Bank
     void registerStats(sim::StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Drop finished transaction frames (nodes recycle via _spare).
-     *  Called lazily on request arrival; the checkpoint path calls it
-     *  eagerly so a quiescent bank reads as empty. */
+    /** Free the slots of finished transactions and rethrow the first
+     *  error one of them raised. Called lazily on request arrival; the
+     *  checkpoint path calls it eagerly so a quiescent bank reads as
+     *  empty. */
     void pruneTransactions();
+
+    /** Rethrow the first error of a finished, not yet pruned
+     *  transaction (the run loop's check; frees nothing). */
+    void rethrowFailedTransaction() const;
 
     /**
      * Checkpoint hooks. Only legal when no transaction coroutine is
@@ -159,7 +158,7 @@ class L3Bank
     checkpointState(sim::Serializer &ser) const
     {
         ser.tag("bank");
-        if (!_running.empty() || !_txns.empty()) {
+        if (_txns.live() != 0) {
             throw sim::SnapshotError(
                 "checkpoint with bank transactions in flight");
         }
@@ -223,9 +222,37 @@ class L3Bank
     }
 
   private:
-    /** Top-level protocol transaction for one request. @p trace_id is
-     *  the nonzero async-span id when a JSON trace sink is attached. */
-    sim::CoTask transaction(Request req, std::uint64_t trace_id);
+    /** One transaction's slot: its coroutine and its record. */
+    struct TxnSlot
+    {
+        sim::CoTask task;
+        TxnRecord rec;
+        bool running = false; ///< begun and not yet exited
+    };
+
+    /**
+     * Lives in a transaction's frame: when the coroutine exits, by
+     * return or by an escaping exception, its slot joins the
+     * retirement queue, so pruning touches finished transactions only.
+     */
+    class Retire
+    {
+      public:
+        Retire(L3Bank &bank, std::uint32_t slot, const TxnRecord &rec);
+        ~Retire();
+        Retire(const Retire &) = delete;
+        Retire &operator=(const Retire &) = delete;
+
+      private:
+        L3Bank &_bank;
+        std::uint32_t _slot;
+    };
+
+    /** Top-level protocol transaction for one request, in slot
+     *  @p slot. @p trace_id is the nonzero async-span id when a JSON
+     *  trace sink is attached. */
+    sim::CoTask transaction(Request req, std::uint64_t trace_id,
+                            std::uint32_t slot);
 
     /** Atomic RMW at the bank (non-table addresses). */
     sim::CoTask handleAtomic(Request req, sim::lat::Cursor *lat);
@@ -278,11 +305,11 @@ class L3Bank
                               AtomicOp op, std::uint32_t operand,
                               std::uint32_t operand2);
 
-    /** Move @p task into _running, reusing a spare list node. */
-    sim::CoTask &adoptTransaction(sim::CoTask &&task);
+    /** Prune finished transactions, then claim a slot for a new one. */
+    std::uint32_t claimSlot();
 
     /** The coroutine behind debugWedgeLine. */
-    sim::CoTask wedge(mem::Addr base);
+    sim::CoTask wedge(mem::Addr base, std::uint32_t slot);
 
     // Backends are the other half of this class: they own the sharer
     // metadata and the read/write/recall flows, but drive the bank's
@@ -297,9 +324,8 @@ class L3Bank
     LineLockTable _locks;
     std::unique_ptr<coherence::Backend> _backend;
     sim::Tick _l3PortFree = 0;
-    std::list<sim::CoTask> _running;
-    std::list<sim::CoTask> _spare; ///< Recycled _running nodes.
-    std::unordered_map<std::uint64_t, TxnRecord> _txns;
+    sim::SlotPool<TxnSlot> _txns;
+    std::vector<std::uint32_t> _retired; ///< finished, not yet pruned
     std::uint64_t _txnSeq = 0;
 
     sim::Counter _transitions, _tableLookups, _dirEvictions, _atomics;

@@ -140,17 +140,6 @@ Auditor::auditPass()
     };
     std::unordered_map<mem::Addr, std::vector<Copy>> hwccCopies;
 
-    // Per-bank snapshot of the directory index. Directory::find()
-    // updates LRU state, so lookups during the audit must go through
-    // this side table to keep the pass free of side effects.
-    std::unordered_map<mem::Addr, const DirEntry *> dirIndex;
-    for (unsigned bi = 0; bi < c.numBanks(); ++bi) {
-        if (const Directory *dir = c.bank(bi).directoryOrNull()) {
-            dir->forEach(
-                [&](const DirEntry &e) { dirIndex.emplace(e.base, &e); });
-        }
-    }
-
     for (unsigned ci = 0; ci < c.numClusters(); ++ci) {
         c.cluster(ci).l2().forEachValid([&](cache::Line &l) {
             if (inFlux(l.base)) {
@@ -202,13 +191,15 @@ Auditor::auditPass()
                     throw AuditError("dls-clean-shared", where());
                 }
                 // HWcc copy: the home directory must know about it
-                // (directory-backed backends only).
+                // (directory-backed backends only). peek() leaves LRU
+                // order alone, so the pass has no side effects.
                 const DirEntry *e = nullptr;
                 if (applicable(Invariant::L2WithoutDirectory)) {
-                    auto di = dirIndex.find(l.base);
-                    if (di == dirIndex.end())
+                    const Directory *home =
+                        c.bank(c.map().bankOf(l.base)).directoryOrNull();
+                    e = home ? home->peek(l.base) : nullptr;
+                    if (!e)
                         throw AuditError("l2-without-directory", where());
-                    e = di->second;
                 }
                 if (applicable(Invariant::SharerMissing) && e &&
                     !e->sharers.contains(ci))

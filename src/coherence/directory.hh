@@ -18,13 +18,12 @@
 #define COHESION_COHERENCE_DIRECTORY_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hh"
 #include "coherence/sharer_set.hh"
 #include "mem/types.hh"
+#include "sim/flat_table.hh"
 #include "sim/host_profiler.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -84,7 +83,12 @@ struct DirEntry
     SharerSet sharers;
 };
 
-/** Sparse/full/infinite directory for one L3 bank. */
+/**
+ * Sparse/full/infinite directory for one L3 bank. Entries live in a
+ * slot pool (addresses are stable until the entry is erased); a flat
+ * index maps line numbers to slots, and each set keeps an exact LRU
+ * list threaded through the slots by index.
+ */
 class Directory
 {
   public:
@@ -105,13 +109,20 @@ class Directory
     {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Directory);
         base = mem::lineBase(base);
-        auto it = _index.find(base);
-        if (it == _index.end())
+        std::uint32_t s = _index.find(mem::lineNumber(base));
+        if (s == sim::noSlot)
             return nullptr;
-        Set &set = _sets[setOf(base)];
-        // Move to MRU position.
-        set.lru.splice(set.lru.end(), set.lru, it->second.lruIt);
-        return &it->second.entry;
+        _sets[setOf(base)].lru.moveToBack(_nodes, s); // now MRU
+        return &_nodes[s].entry;
+    }
+
+    /** The entry for @p base, or nullptr; leaves LRU order alone (for
+     *  observers such as the coherence auditor). */
+    const DirEntry *
+    peek(mem::Addr base) const
+    {
+        std::uint32_t s = _index.find(mem::lineNumber(base));
+        return s == sim::noSlot ? nullptr : &_nodes[s].entry;
     }
 
     /** True if installing @p base requires evicting another entry. */
@@ -120,7 +131,7 @@ class Directory
     {
         if (_config.infinite())
             return false;
-        return _sets[setOf(mem::lineBase(base))].lru.size() >= waysPerSet();
+        return _sets[setOf(mem::lineBase(base))].lru.size >= waysPerSet();
     }
 
     /**
@@ -130,9 +141,9 @@ class Directory
     DirEntry &
     victim(mem::Addr base)
     {
-        Set &set = _sets[setOf(mem::lineBase(base))];
-        panic_if(set.lru.empty(), "victim() without a conflict");
-        return _index.at(set.lru.front()).entry;
+        const sim::SlotList &lru = _sets[setOf(mem::lineBase(base))].lru;
+        panic_if(lru.empty(), "victim() without a conflict");
+        return _nodes[lru.head].entry;
     }
 
     /**
@@ -146,10 +157,11 @@ class Directory
     victimExcluding(mem::Addr base, Pred &&excluded)
     {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Directory);
-        Set &set = _sets[setOf(mem::lineBase(base))];
-        for (mem::Addr cand : set.lru) {
-            if (!excluded(cand))
-                return &_index.at(cand).entry;
+        const sim::SlotList &lru = _sets[setOf(mem::lineBase(base))].lru;
+        for (std::uint32_t s = lru.head; s != sim::noSlot;
+             s = _nodes[s].next) {
+            if (!excluded(_nodes[s].entry.base))
+                return &_nodes[s].entry;
         }
         return nullptr;
     }
@@ -160,21 +172,17 @@ class Directory
     {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Directory);
         base = mem::lineBase(base);
-        panic_if(_index.count(base), "inserting duplicate directory entry for 0x", std::hex, base, std::dec, " state ", static_cast<int>(_index.at(base).entry.state));
+        panic_if(peek(base), "inserting duplicate directory entry for 0x",
+                 std::hex, base, std::dec, " state ",
+                 static_cast<int>(peek(base)->state));
         panic_if(needsVictim(base), "inserting into a full set");
-        Set &set = _sets[setOf(base)];
-        set.lru.push_back(base);
-        auto lru_it = std::prev(set.lru.end());
-        auto [it, ok] = _index.emplace(base, Node{DirEntry{}, lru_it});
-        panic_if(!ok, "index insert failed");
-        DirEntry &e = it->second.entry;
-        e.base = base;
+        DirEntry &e = link(base);
         e.state = cache::CohState::Invalid;
         e.sharers = SharerSet(_config.sharerKind, _numCaches,
                               _config.pointers);
         _insertions.inc();
-        if (_index.size() > _peakEntries)
-            _peakEntries = _index.size();
+        if (size() > _peakEntries)
+            _peakEntries = size();
         return e;
     }
 
@@ -184,10 +192,11 @@ class Directory
     {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Directory);
         base = mem::lineBase(base);
-        auto it = _index.find(base);
-        panic_if(it == _index.end(), "erasing missing directory entry");
-        _sets[setOf(base)].lru.erase(it->second.lruIt);
-        _index.erase(it);
+        std::uint32_t s = _index.find(mem::lineNumber(base));
+        panic_if(s == sim::noSlot, "erasing missing directory entry");
+        _sets[setOf(base)].lru.unlink(_nodes, s);
+        _index.erase(mem::lineNumber(base));
+        _nodes.free(s);
     }
 
     /** Current number of allocated entries. */
@@ -199,20 +208,24 @@ class Directory
     /** Total insertions (allocation churn diagnostic). */
     std::uint64_t insertions() const { return _insertions.value(); }
 
-    /** Apply @p fn to each allocated entry (occupancy sampling). */
+    /** Apply @p fn to each allocated entry, set by set, LRU first
+     *  (the order checkpointState writes). */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &[base, node] : _index)
-            fn(node.entry);
+        for (const Set &set : _sets) {
+            for (std::uint32_t s = set.lru.head; s != sim::noSlot;
+                 s = _nodes[s].next)
+                fn(_nodes[s].entry);
+        }
     }
 
     /**
      * Checkpoint hooks. Entries are written per set in LRU order
      * (front first) so the rebuilt lists victimize identically; the
-     * unordered index is reconstructed, never serialized, so hash-map
-     * iteration order can't leak into snapshots.
+     * index is reconstructed, never serialized, so table layout can't
+     * leak into snapshots.
      */
     void
     checkpointState(sim::Serializer &ser) const
@@ -220,9 +233,10 @@ class Directory
         ser.tag("directory");
         ser.u64(_sets.size());
         for (const Set &set : _sets) {
-            ser.u64(set.lru.size());
-            for (mem::Addr base : set.lru) {
-                const DirEntry &e = _index.at(base).entry;
+            ser.u64(set.lru.size);
+            for (std::uint32_t s = set.lru.head; s != sim::noSlot;
+                 s = _nodes[s].next) {
+                const DirEntry &e = _nodes[s].entry;
                 ser.u32(e.base);
                 ser.u8(static_cast<std::uint8_t>(e.state));
                 e.sharers.checkpointState(ser);
@@ -239,21 +253,22 @@ class Directory
         if (des.u64() != _sets.size())
             throw sim::SnapshotError("snapshot directory set-count mismatch");
         _index.clear();
-        for (Set &set : _sets) {
-            set.lru.clear();
+        _nodes.reset();
+        for (Set &set : _sets)
+            set.lru = sim::SlotList{};
+        for (std::uint32_t si = 0; si < _sets.size(); ++si) {
             std::uint64_t n = des.u64();
             for (std::uint64_t i = 0; i < n; ++i) {
                 mem::Addr base = des.u32();
-                set.lru.push_back(base);
-                auto lru_it = std::prev(set.lru.end());
-                auto [it, ok] =
-                    _index.emplace(base, Node{DirEntry{}, lru_it});
-                if (!ok) {
+                if (peek(base)) {
                     throw sim::SnapshotError(
                         "snapshot corrupt: duplicate directory entry");
                 }
-                DirEntry &e = it->second.entry;
-                e.base = base;
+                if (setOf(base) != si) {
+                    throw sim::SnapshotError(
+                        "snapshot corrupt: directory entry in wrong set");
+                }
+                DirEntry &e = link(base);
                 e.state = static_cast<cache::CohState>(des.u8());
                 e.sharers.restoreState(des);
             }
@@ -277,21 +292,35 @@ class Directory
         return (base >> mem::lineShift) & (_sets.size() - 1);
     }
 
+    /** Claim a slot for @p base at its set's MRU end. */
+    DirEntry &
+    link(mem::Addr base)
+    {
+        std::uint32_t s = _nodes.alloc();
+        _index.insert(mem::lineNumber(base), s);
+        _sets[setOf(base)].lru.pushBack(_nodes, s);
+        DirEntry &e = _nodes[s].entry;
+        e.base = base;
+        return e;
+    }
+
     struct Node
     {
         DirEntry entry;
-        std::list<mem::Addr>::iterator lruIt;
+        std::uint32_t prev = sim::noSlot;
+        std::uint32_t next = sim::noSlot;
     };
 
     struct Set
     {
-        std::list<mem::Addr> lru; // front = LRU, back = MRU
+        sim::SlotList lru; // head = LRU, tail = MRU
     };
 
     DirectoryConfig _config;
     unsigned _numCaches;
     std::vector<Set> _sets;
-    std::unordered_map<mem::Addr, Node> _index;
+    sim::SlotPool<Node> _nodes;
+    sim::FlatIndex _index; ///< line number -> slot in _nodes
     std::uint32_t _peakEntries = 0;
     sim::Counter _insertions;
 };

@@ -54,6 +54,19 @@ setCluster(std::uint64_t set[2], std::uint32_t cluster)
 
 } // namespace
 
+LineProfiler::LineStats &
+LineProfiler::stats(mem::Addr line)
+{
+    std::uint32_t i = _index.find(line);
+    if (i == sim::noSlot) {
+        i = static_cast<std::uint32_t>(_lines.size());
+        _index.insert(line, i);
+        _lines.emplace_back();
+        _bases.push_back(line);
+    }
+    return _lines[i];
+}
+
 void
 LineProfiler::observe(sim::FlightRecorder::Ev kind, mem::Addr line,
                       std::uint8_t a, std::uint32_t b)
@@ -65,7 +78,7 @@ LineProfiler::observe(sim::FlightRecorder::Ev kind, mem::Addr line,
       case Ev::MsgRecv: {
         // Bank-side arrival is the serialization point: a is the
         // ReqType, b the requesting cluster.
-        LineStats &s = _lines[line];
+        LineStats &s = stats(line);
         switch (static_cast<arch::ReqType>(a)) {
           case arch::ReqType::Read:
           case arch::ReqType::Instr:
@@ -95,17 +108,17 @@ LineProfiler::observe(sim::FlightRecorder::Ev kind, mem::Addr line,
         break;
       }
       case Ev::SwccFlush:
-        ++_lines[line].flushes;
+        ++stats(line).flushes;
         break;
       case Ev::ProbeSend:
-        ++_lines[line].probes;
+        ++stats(line).probes;
         break;
       case Ev::TransBegin:
-        ++_lines[line].transitions;
+        ++stats(line).transitions;
         break;
       case Ev::TransStep:
         if (static_cast<Step>(a) == Step::Conflict)
-            ++_lines[line].conflicts;
+            ++stats(line).conflicts;
         break;
       default:
         break;
@@ -152,7 +165,9 @@ LineProfiler::registerStats(sim::StatRegistry &reg,
     std::map<std::string, std::array<std::uint64_t, numPatterns>> regions;
     std::vector<std::pair<mem::Addr, const LineStats *>> contended;
 
-    for (const auto &[addr, s] : _lines) {
+    for (std::size_t i = 0; i < _lines.size(); ++i) {
+        const mem::Addr addr = _bases[i];
+        const LineStats &s = _lines[i];
         Pattern p = classify(s);
         classes[static_cast<unsigned>(p)] += 1;
         regions[regionName(addr)][static_cast<unsigned>(p)] += 1;

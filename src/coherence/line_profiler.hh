@@ -17,11 +17,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "arch/protocol.hh"
 #include "cohesion/region_table.hh"
 #include "mem/types.hh"
+#include "sim/flat_table.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/stat_registry.hh"
 
@@ -95,8 +96,8 @@ class LineProfiler
     const LineStats *
     find(mem::Addr line) const
     {
-        auto it = _lines.find(line);
-        return it == _lines.end() ? nullptr : &it->second;
+        std::uint32_t s = _index.find(line);
+        return s == sim::noSlot ? nullptr : &_lines[s];
     }
 
     /** Coarse region kind name for @p line ("code", "stack",
@@ -116,7 +117,12 @@ class LineProfiler
                        const std::string &prefix) const;
 
   private:
-    std::unordered_map<mem::Addr, LineStats> _lines;
+    /** @p line's summary, created zeroed on first touch. */
+    LineStats &stats(mem::Addr line);
+
+    std::vector<LineStats> _lines;  ///< in first-touch order
+    std::vector<mem::Addr> _bases;  ///< _lines[i]'s line base
+    sim::FlatIndex _index;          ///< line -> i
     const cohesion::CoarseRegionTable &_regions;
     unsigned _topN;
 };

@@ -11,6 +11,7 @@
 #ifndef COHESION_COHERENCE_SHARER_SET_HH
 #define COHESION_COHERENCE_SHARER_SET_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,15 @@ enum class SharerKind : std::uint8_t {
 class SharerSet
 {
   public:
+    /** Inline storage: 64-bit words holding either the full-map
+     *  bitmap or the packed 16-bit pointer list, so an entry never
+     *  touches the heap. */
+    static constexpr unsigned inlineWords = 4;
+    /** Largest full-map machine (one bit per L2). */
+    static constexpr unsigned maxCaches = 64 * inlineWords;
+    /** Largest pointer budget for the limited scheme. */
+    static constexpr unsigned maxPointerSlots = 4 * inlineWords;
+
     /**
      * @param kind      Representation.
      * @param num_caches Number of L2 caches in the system.
@@ -37,8 +47,13 @@ class SharerSet
               unsigned num_caches = 0, unsigned pointers = 4)
         : _kind(kind), _numCaches(num_caches), _maxPointers(pointers)
     {
-        if (_kind == SharerKind::FullMap)
-            _bitmap.assign((num_caches + 63) / 64, 0);
+        fatal_if(_kind == SharerKind::FullMap && num_caches > maxCaches,
+                 "full-map sharer sets hold at most ", maxCaches,
+                 " caches (", num_caches, " requested)");
+        fatal_if(_kind == SharerKind::LimitedPtr &&
+                     pointers > maxPointerSlots,
+                 "limited-pointer sharer sets hold at most ",
+                 maxPointerSlots, " pointers (", pointers, " requested)");
     }
 
     SharerKind kind() const { return _kind; }
@@ -68,14 +83,14 @@ class SharerSet
         if (contains(id))
             return;
         if (_kind == SharerKind::FullMap) {
-            _bitmap[id / 64] |= std::uint64_t(1) << (id % 64);
+            _words[id / 64] |= std::uint64_t(1) << (id % 64);
         } else {
-            if (_pointers.size() < _maxPointers) {
-                _pointers.push_back(static_cast<std::uint16_t>(id));
+            if (_numPointers < _maxPointers) {
+                setPointer(_numPointers++, id);
             } else {
                 // Pointer overflow: degrade to broadcast mode.
                 _broadcast = true;
-                _pointers.clear();
+                _numPointers = 0;
             }
         }
         ++_count;
@@ -90,9 +105,9 @@ class SharerSet
     {
         if (_kind == SharerKind::FullMap) {
             std::uint64_t bit = std::uint64_t(1) << (id % 64);
-            if (!(_bitmap[id / 64] & bit))
+            if (!(_words[id / 64] & bit))
                 return;
-            _bitmap[id / 64] &= ~bit;
+            _words[id / 64] &= ~bit;
             --_count;
         } else if (_broadcast) {
             if (_count > 0)
@@ -100,9 +115,12 @@ class SharerSet
             if (_count == 0)
                 _broadcast = false;
         } else {
-            for (auto it = _pointers.begin(); it != _pointers.end(); ++it) {
-                if (*it == id) {
-                    _pointers.erase(it);
+            for (unsigned i = 0; i < _numPointers; ++i) {
+                if (pointer(i) == id) {
+                    // Close the gap: probe order is insertion order.
+                    for (unsigned j = i + 1; j < _numPointers; ++j)
+                        setPointer(j - 1, pointer(j));
+                    --_numPointers;
                     --_count;
                     return;
                 }
@@ -118,11 +136,11 @@ class SharerSet
     contains(unsigned id) const
     {
         if (_kind == SharerKind::FullMap)
-            return _bitmap[id / 64] & (std::uint64_t(1) << (id % 64));
+            return _words[id / 64] & (std::uint64_t(1) << (id % 64));
         if (_broadcast)
             return _count > 0;
-        for (auto p : _pointers) {
-            if (p == id)
+        for (unsigned i = 0; i < _numPointers; ++i) {
+            if (pointer(i) == id)
                 return true;
         }
         return false;
@@ -146,7 +164,8 @@ class SharerSet
             for (unsigned id = 0; id < _numCaches; ++id)
                 out.push_back(id);
         } else {
-            out.assign(_pointers.begin(), _pointers.end());
+            for (unsigned i = 0; i < _numPointers; ++i)
+                out.push_back(pointer(i));
         }
         return out;
     }
@@ -157,7 +176,7 @@ class SharerSet
     {
         panic_if(_count != 1 || _broadcast, "soleSharer on non-singleton");
         if (_kind == SharerKind::LimitedPtr)
-            return _pointers.front();
+            return pointer(0);
         for (unsigned id = 0; id < _numCaches; ++id) {
             if (contains(id))
                 return id;
@@ -169,9 +188,8 @@ class SharerSet
     void
     clear()
     {
-        if (_kind == SharerKind::FullMap)
-            _bitmap.assign(_bitmap.size(), 0);
-        _pointers.clear();
+        _words.fill(0);
+        _numPointers = 0;
         _broadcast = false;
         _count = 0;
     }
@@ -187,12 +205,13 @@ class SharerSet
         ser.u32(_maxPointers);
         ser.u32(_count);
         ser.b(_broadcast);
-        ser.u64(_pointers.size());
-        for (std::uint16_t p : _pointers)
-            ser.u32(p);
-        ser.u64(_bitmap.size());
-        for (std::uint64_t w : _bitmap)
-            ser.u64(w);
+        ser.u64(_numPointers);
+        for (unsigned i = 0; i < _numPointers; ++i)
+            ser.u32(pointer(i));
+        unsigned words = bitmapWords();
+        ser.u64(words);
+        for (unsigned w = 0; w < words; ++w)
+            ser.u64(_words[w]);
     }
 
     void
@@ -203,22 +222,53 @@ class SharerSet
         _maxPointers = des.u32();
         _count = des.u32();
         _broadcast = des.b();
-        _pointers.resize(des.u64());
-        for (std::uint16_t &p : _pointers)
-            p = static_cast<std::uint16_t>(des.u32());
-        _bitmap.resize(des.u64());
-        for (std::uint64_t &w : _bitmap)
-            w = des.u64();
+        _words.fill(0);
+        std::uint64_t n = des.u64();
+        if ((_kind == SharerKind::FullMap && _numCaches > maxCaches) ||
+            (_kind == SharerKind::LimitedPtr &&
+             _maxPointers > maxPointerSlots) ||
+            n > _maxPointers) {
+            throw sim::SnapshotError("snapshot corrupt: sharer set shape");
+        }
+        _numPointers = static_cast<unsigned>(n);
+        for (unsigned i = 0; i < _numPointers; ++i)
+            setPointer(i, des.u32());
+        if (des.u64() != bitmapWords())
+            throw sim::SnapshotError("snapshot corrupt: sharer bitmap");
+        for (unsigned w = 0; w < bitmapWords(); ++w)
+            _words[w] = des.u64();
     }
 
   private:
+    /** Bitmap words a full-map set serializes (none for pointers). */
+    unsigned
+    bitmapWords() const
+    {
+        return _kind == SharerKind::FullMap ? (_numCaches + 63) / 64 : 0;
+    }
+
+    unsigned
+    pointer(unsigned i) const
+    {
+        return static_cast<std::uint16_t>(_words[i / 4] >> (16 * (i % 4)));
+    }
+
+    void
+    setPointer(unsigned i, unsigned id)
+    {
+        std::uint64_t &w = _words[i / 4];
+        const unsigned shift = 16 * (i % 4);
+        w = (w & ~(std::uint64_t(0xFFFF) << shift)) |
+            (std::uint64_t(id & 0xFFFF) << shift);
+    }
+
     SharerKind _kind;
+    bool _broadcast = false;
+    unsigned _numPointers = 0;
     unsigned _numCaches;
     unsigned _maxPointers;
     unsigned _count = 0;
-    bool _broadcast = false;
-    std::vector<std::uint16_t> _pointers;
-    std::vector<std::uint64_t> _bitmap;
+    std::array<std::uint64_t, inlineWords> _words{};
 };
 
 } // namespace coherence

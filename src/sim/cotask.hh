@@ -106,12 +106,19 @@ class CoTask
         rethrow();
     }
 
+    /** The exception the coroutine exited with, if any. */
+    std::exception_ptr
+    error() const
+    {
+        return _handle ? _handle.promise().error : nullptr;
+    }
+
     /** Rethrow an exception captured inside the coroutine, if any. */
     void
     rethrow() const
     {
-        if (_handle && _handle.promise().error)
-            std::rethrow_exception(_handle.promise().error);
+        if (std::exception_ptr e = error())
+            std::rethrow_exception(e);
     }
 
     /** Awaiter for nesting: co_await child starts it, resumes us after. */

@@ -224,6 +224,28 @@ class HostProfiler
 
         ~Scope() { close(); }
 
+        /**
+         * Hand this exact-phase scope over to exact phase @p p. One
+         * clock read ends the current interval and starts the next,
+         * so back-to-back exact phases leave no unattributed gap. A
+         * closed scope reopens as @p p.
+         */
+        void
+        switchTo(Phase p)
+        {
+            if (!_acc) {
+                if (p != Phase::None && enabled())
+                    open(p);
+                return;
+            }
+            const clock::time_point now = clock::now();
+            _acc->timedNs += static_cast<std::uint64_t>((now - _t0).count());
+            ++_acc->timedCount;
+            _acc = &_tlAcc->phases[static_cast<unsigned>(p)];
+            ++_acc->count;
+            _t0 = now;
+        }
+
         /** End the scope early (used where a block does not fit the
          *  region, e.g. setup spanning declarations). Idempotent. */
         void

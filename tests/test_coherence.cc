@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "coherence/area_model.hh"
 #include "coherence/directory.hh"
 #include "coherence/sharer_set.hh"
@@ -89,6 +92,39 @@ TEST(SharerSet, BroadcastCountsSharersAddedAfterOverflow)
     s.remove(9);
     EXPECT_TRUE(s.empty());
     EXPECT_FALSE(s.broadcast());
+}
+
+/** Sharers live inline: shapes beyond the inline words are refused
+ *  up front, and the largest legal shapes work at their edges. */
+TEST(SharerSet, InlineCapacityIsChecked)
+{
+    EXPECT_THROW(SharerSet(SharerKind::FullMap, SharerSet::maxCaches + 1),
+                 std::runtime_error);
+    EXPECT_THROW(SharerSet(SharerKind::LimitedPtr, 16,
+                           SharerSet::maxPointerSlots + 1),
+                 std::runtime_error);
+
+    SharerSet full(SharerKind::FullMap, SharerSet::maxCaches);
+    full.add(SharerSet::maxCaches - 1);
+    full.add(0);
+    EXPECT_EQ(full.probeTargets(),
+              std::vector<unsigned>({0, SharerSet::maxCaches - 1}));
+
+    SharerSet ptrs(SharerKind::LimitedPtr, 1024,
+                   SharerSet::maxPointerSlots);
+    for (unsigned id = 0; id < SharerSet::maxPointerSlots; ++id)
+        ptrs.add(1000 - id);
+    EXPECT_FALSE(ptrs.broadcast());
+    ptrs.remove(999);
+    std::vector<unsigned> want;
+    for (unsigned id = 0; id < SharerSet::maxPointerSlots; ++id) {
+        if (id != 1)
+            want.push_back(1000 - id);
+    }
+    EXPECT_EQ(ptrs.probeTargets(), want); // insertion order kept
+    ptrs.add(5);
+    ptrs.add(6);
+    EXPECT_TRUE(ptrs.broadcast());
 }
 
 TEST(SharerSet, ClearResets)

@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/cluster.hh"
 #include "harness/runner.hh"
 #include "harness/session.hh"
 #include "kernels/registry.hh"
 #include "runtime/ctx.hh"
+#include "sim/serialize.hh"
 
 namespace {
 
@@ -130,6 +134,46 @@ TEST(FaultInjection, PendingWritebackSetIsBounded)
     EXPECT_FALSE(set.erase(3));
     EXPECT_EQ(set.size(), 3u);
     EXPECT_EQ(arch::Cluster::pendingWbCapacity, 4096u);
+
+    // Eviction follows insertion order, not id order, and skips ids
+    // already erased: {6, 7, 9} plus 2 and 1 evicts 6; 8 then evicts 7.
+    EXPECT_TRUE(set.insert(2));
+    EXPECT_TRUE(set.insert(1));
+    EXPECT_EQ(set.evictions().value(), 7u);
+    EXPECT_FALSE(set.contains(6));
+    EXPECT_TRUE(set.insert(8));
+    EXPECT_EQ(set.evictions().value(), 8u);
+    EXPECT_FALSE(set.contains(7));
+
+    // Serialized oldest first; a restored set evicts in the same order.
+    sim::Serializer ser;
+    set.checkpointState(ser);
+    std::string blob = ser.take();
+    sim::Deserializer des(blob);
+    EXPECT_EQ(des.u64(), 4u);
+    std::vector<std::uint32_t> order;
+    for (unsigned i = 0; i < 4; ++i)
+        order.push_back(des.u32());
+    EXPECT_EQ(order, std::vector<std::uint32_t>({9, 2, 1, 8}));
+
+    arch::BoundedIdSet restored(4);
+    sim::Deserializer again(blob);
+    restored.restoreState(again);
+    EXPECT_EQ(restored.evictions().value(), 8u);
+    EXPECT_TRUE(restored.erase(2));
+    EXPECT_TRUE(restored.insert(11));
+    EXPECT_TRUE(restored.insert(12));
+    EXPECT_FALSE(restored.contains(9));
+    EXPECT_TRUE(restored.contains(1));
+    sim::Serializer ser2;
+    restored.checkpointState(ser2);
+    std::string blob2 = ser2.take();
+    sim::Deserializer des2(blob2);
+    EXPECT_EQ(des2.u64(), 4u);
+    order.clear();
+    for (unsigned i = 0; i < 4; ++i)
+        order.push_back(des2.u32());
+    EXPECT_EQ(order, std::vector<std::uint32_t>({1, 8, 11, 12}));
 }
 
 /** A message whose drop-retransmit budget is exhausted used to be

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -439,6 +440,78 @@ TEST(Watchdog, WedgedLineThrowsDeadlockErrorWithDump)
         EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos);
         EXPECT_NE(e.dump().find("bank"), std::string::npos) << e.dump();
     }
+}
+
+/** A bank transaction that dies on an exception must fail the run.
+ *  The bad request queues behind a Read on the line lock and panics
+ *  only after it resumes, inside an event, where no caller sees the
+ *  throw; its requester would otherwise wait forever. */
+TEST(BankTransaction, DeadTransactionFailsTheRun)
+{
+    arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
+    cfg.mode = arch::CoherenceMode::HWccOnly;
+    arch::Chip chip(cfg, runtime::Layout::tableBase);
+    const mem::Addr line = 0x1000;
+    arch::L3Bank &bank = chip.bank(chip.map().bankOf(line));
+    arch::Request rd;
+    rd.type = arch::ReqType::Read;
+    rd.cluster = 0;
+    rd.addr = line;
+    bank.receiveRequest(rd);
+    arch::Request bad = rd;
+    bad.type = static_cast<arch::ReqType>(99);
+    bank.receiveRequest(bad);
+
+    try {
+        chip.runUntilQuiescent();
+        FAIL() << "the run ended normally with " << bank.inFlight()
+               << " transaction(s) in flight";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("unexpected writeback type"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Pruning reports the error once and frees both slots.
+    EXPECT_THROW(bank.pruneTransactions(), std::logic_error);
+    EXPECT_EQ(bank.inFlight(), 0u);
+    EXPECT_NO_THROW(chip.runUntilQuiescent());
+}
+
+/** The in-flight dump lists a cluster's MSHRs by ascending line
+ *  address, whatever order the misses were issued in. */
+TEST(InFlightDump, ListsMshrsByAddress)
+{
+    arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
+    arch::Chip chip(cfg, runtime::Layout::tableBase);
+    runtime::CohesionRuntime rt(chip);
+    const mem::Addr base = runtime::Layout::cohHeapBase;
+    const std::vector<mem::Addr> lines = {base + 0x7000, base + 0x20,
+                                          base + 0x3400, base};
+    std::vector<sim::CoTask> loads;
+    for (unsigned i = 0; i < lines.size(); ++i) {
+        loads.push_back([](runtime::Ctx ctx, mem::Addr a) -> sim::CoTask {
+            co_await ctx.load32(a);
+        }(runtime::Ctx(rt, chip.core(i)), lines[i]));
+        loads.back().start(); // each miss opens an MSHR in cluster 0
+    }
+    ASSERT_GE(chip.cluster(0).mshrCount(), lines.size());
+
+    std::istringstream dump(chip.inFlightDump());
+    std::vector<mem::Addr> listed;
+    for (std::string row; std::getline(dump, row);) {
+        const std::string tag = "cluster0 mshr 0x";
+        std::size_t at = row.find(tag);
+        if (at != std::string::npos)
+            listed.push_back(static_cast<mem::Addr>(
+                std::stoul(row.substr(at + tag.size()), nullptr, 16)));
+    }
+    EXPECT_EQ(listed.size(), chip.cluster(0).mshrCount());
+    EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+    for (mem::Addr a : lines) {
+        EXPECT_NE(std::find(listed.begin(), listed.end(), a), listed.end())
+            << std::hex << a;
+    }
+    chip.runUntilQuiescent();
 }
 
 // --- Fault plan parsing --------------------------------------------
