@@ -85,7 +85,6 @@ Chip::Chip(const MachineConfig &config, mem::Addr table_base)
     : _config(normalized(config)),
       _backendTraits(*coherence::backendTraits(_config.backend)),
       _router(_config.numClusters + _config.numL3Banks + 1),
-      _tracer(_eq),
       _map(_config.numL3Banks, _config.numChannels, table_base),
       _dram(_map, _config.dram), _fabric(_config),
       _timeSeries(_eq)
@@ -151,11 +150,6 @@ Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
         // Atomics are excluded: a duplicated RMW executes twice.
         dup = req.type != ReqType::Atomic &&
               _faults.fire(FaultSite::FabricC2BDup, cluster_id);
-        if (drops || dup) {
-            TRACE(_tracer, sim::Category::Fault, "c2b ",
-                  reqTypeName(req.type), " 0x", std::hex, req.addr,
-                  std::dec, drops ? " dropped" : " duplicated");
-        }
     }
     req.retries = static_cast<std::uint8_t>(drops);
     if (drops) {
@@ -230,11 +224,6 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
         // all other responses are deduplicated by msgId at the cluster.
         dup = resp.type != ReqType::Atomic &&
               _faults.fire(FaultSite::FabricB2CDup, bank_id);
-        if (drops || dup) {
-            TRACE(_tracer, sim::Category::Fault, "b2c ",
-                  reqTypeName(resp.type), " 0x", std::hex, resp.addr,
-                  std::dec, drops ? " dropped" : " duplicated");
-        }
     }
     resp.retries = static_cast<std::uint8_t>(drops);
     if (drops)
@@ -490,8 +479,6 @@ Chip::faultPump()
             l->flipDataBit(
                 static_cast<unsigned>(rng.below(mem::lineBytes * 8)));
         _faults.countInjected(site);
-        TRACE(_tracer, sim::Category::Fault, sim::faultSiteName(site),
-              ": line 0x", std::hex, l->base);
     };
 
     flip_in(cluster(rng.below(numClusters())).l2(), FaultSite::L2DataFlip,
@@ -655,28 +642,57 @@ Chip::enableLineProfiler(unsigned top_n)
 }
 
 void
-Chip::setWatchLine(mem::Addr addr)
+Chip::setNarration(std::uint32_t kinds, mem::Addr watch_line)
 {
-    _watchLine = mem::lineBase(addr);
+    _narrateKinds = kinds;
+    _watchLine =
+        watch_line == ~mem::Addr(0) ? watch_line : mem::lineBase(watch_line);
     updateRecAny();
+}
+
+void
+Chip::renderTo(sim::TraceJsonWriter *w)
+{
+    _json = w;
+    updateRecAny();
+    if (!w) {
+        _timeSeries.setSink({});
+        return;
+    }
+    using FR = sim::FlightRecorder;
+    auto name = [w](std::uint16_t comp) {
+        w->threadName(traceTid(comp), FR::compName(comp));
+    };
+    name(FR::compChip);
+    for (unsigned b = 0; b < _banks.size(); ++b)
+        name(FR::compBank(b));
+    for (unsigned c = 0; c < _clusters.size(); ++c)
+        name(FR::compCluster(c));
+    _timeSeries.setSink(
+        [w](sim::Tick t, const std::string &series, double v) {
+            w->counter(t, series, v);
+        });
 }
 
 void
 Chip::updateRecAny()
 {
-    _recSlow = _profiler != nullptr || _watchLine != ~mem::Addr(0);
+    _recSlow = _profiler != nullptr || _narrateKinds != 0 ||
+               _watchLine != ~mem::Addr(0) || _json != nullptr;
     _recAny = _recorder.enabled() || _recSlow;
 }
 
 void
-Chip::recImpl(const sim::FlightRecorder::Record &r)
+Chip::observe(const sim::FlightRecorder::Record &r)
 {
     if (_profiler) {
         _profiler->observe(static_cast<sim::FlightRecorder::Ev>(r.kind),
                            r.line, r.a, r.b);
     }
-    if (r.line == _watchLine)
-        inform("watch: ", describeRecord(r));
+    if (((_narrateKinds >> r.kind) & 1u) || r.line == _watchLine)
+        sim::logLine(describeRecord(r));
+    if (_json)
+        renderRecord(*_json, r);
 }
 
 void
@@ -692,7 +708,7 @@ Chip::drainRecStage()
                              r.comp, r.line, r.txn, r.a, r.b);
         }
         if (_recSlow)
-            recImpl(r);
+            observe(r);
     }
     _recStage.clear();
 }
@@ -751,27 +767,6 @@ Chip::postMortemHistory() const
         os << "  (" << lines.size() - maxLines
            << " more implicated lines omitted)\n";
     return os.str();
-}
-
-void
-Chip::attachJson(sim::TraceJsonWriter *w)
-{
-    _tracer.setJson(w);
-    if (!w) {
-        _timeSeries.setSink({});
-        return;
-    }
-    w->threadName(sim::TraceJsonWriter::machineTid, "machine");
-    for (unsigned b = 0; b < _banks.size(); ++b)
-        w->threadName(sim::TraceJsonWriter::bankTid(b),
-                      sim::cat("l3bank", b));
-    for (unsigned c = 0; c < _clusters.size(); ++c)
-        w->threadName(sim::TraceJsonWriter::clusterTid(c),
-                      sim::cat("cluster", c));
-    _timeSeries.setSink(
-        [w](sim::Tick t, const std::string &name, double v) {
-            w->counter(t, name, v);
-        });
 }
 
 void
@@ -894,7 +889,10 @@ Chip::checkpointState(sim::Serializer &ser) const
     ser.u64(respRetries());
     ser.u64(retriesExhausted());
     ser.u64(responsesDelivered());
-    ser.u64(_traceIdSeq.load(std::memory_order_relaxed));
+    // Retired slot: it held a trace-span id sequence, observer state
+    // that DESIGN §12 keeps out of snapshots. Written as zero and
+    // ignored on restore, so existing snapshots stay valid.
+    ser.u64(0);
     for (const auto &s : _occupancy)
         s.checkpointState(ser);
     _occupancyTotal.checkpointState(ser);
@@ -950,7 +948,7 @@ Chip::restoreState(sim::Deserializer &des)
     _respRetries.store(des.u64(), std::memory_order_relaxed);
     _retryExhausted.store(des.u64(), std::memory_order_relaxed);
     _respDelivered.store(des.u64(), std::memory_order_relaxed);
-    _traceIdSeq.store(des.u64(), std::memory_order_relaxed);
+    des.u64(); // retired slot, see checkpointState
     for (auto &s : _occupancy)
         s.restoreState(des);
     _occupancyTotal.restoreState(des);
@@ -1024,8 +1022,6 @@ Chip::runUntilQuiescent()
         if (bound > limit) {
             rethrowFailedTransaction();
             std::string dump = inFlightDump() + postMortemHistory();
-            TRACE(_tracer, sim::Category::Watchdog,
-                  "watchdog: cycle limit hit; in-flight:\n", dump);
             throw DeadlockError(
                 sim::cat("watchdog: simulation exceeded ", limit,
                          " cycles (deadlock or runaway workload)"),
@@ -1075,9 +1071,6 @@ Chip::runUntilQuiescent()
                     rethrowFailedTransaction();
                     std::string dump =
                         inFlightDump() + postMortemHistory();
-                    TRACE(_tracer, sim::Category::Watchdog,
-                          "watchdog: no forward progress; in-flight:\n",
-                          dump);
                     throw DeadlockError(
                         sim::cat("watchdog: no forward progress in ",
                                  window, " ticks at t=", stop,

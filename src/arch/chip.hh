@@ -41,11 +41,14 @@
 #include "sim/router.hh"
 #include "sim/stat_registry.hh"
 #include "sim/timeseries.hh"
-#include "sim/trace.hh"
 
 namespace coherence {
 class Auditor;
 class LineProfiler;
+}
+
+namespace sim {
+class TraceJsonWriter;
 }
 
 namespace arch {
@@ -93,7 +96,6 @@ class Chip
     mem::DramModel &dram() { return _dram; }
     Fabric &fabric() { return _fabric; }
     cohesion::CoarseRegionTable &coarseTable() { return _coarseTable; }
-    sim::Tracer &tracer() { return _tracer; }
 
     Cluster &cluster(unsigned i) { return *_clusters.at(i); }
     unsigned numClusters() const { return _clusters.size(); }
@@ -310,9 +312,21 @@ class Chip
      *  lines table. */
     void enableLineProfiler(unsigned top_n = 8);
 
-    /** Verbose-decode every recorder event touching @p addr's line to
-     *  the log (works even with the ring disabled). */
-    void setWatchLine(mem::Addr addr);
+    /**
+     * Narrate merged records to the thread's log sink, one
+     * describeRecord() line each: every record whose kind is in
+     * @p kinds (arch::parseTraceGroups), plus every record touching
+     * @p watch_line's line (~0: none). Works with the ring disabled.
+     * (0, ~0) turns narration off.
+     */
+    void setNarration(std::uint32_t kinds, mem::Addr watch_line);
+
+    /**
+     * Render every merged record into @p w (arch::renderRecord), name
+     * the component tracks, and mirror time-series samples as counter
+     * events; nullptr detaches. The writer is not owned.
+     */
+    void renderTo(sim::TraceJsonWriter *w);
 
     sim::FlightRecorder &recorder() { return _recorder; }
     const sim::FlightRecorder &recorder() const { return _recorder; }
@@ -320,12 +334,12 @@ class Chip
 
     /**
      * Emit one protocol event. The disabled path is this single byte
-     * test, so instrumented hot paths stay effectively free when
-     * neither the recorder, the profiler nor a watched line is active.
-     * Otherwise the record is *staged* and merged at the next window
-     * barrier in canonical (tick, component) order (drainRecStage), so
-     * the ring, the profiler and the watch log all observe that order,
-     * not execution order.
+     * test, so instrumented hot paths stay effectively free when no
+     * observer of the record stream is on (the ring, the line
+     * profiler, narration, the trace-event renderer). Otherwise the
+     * record is *staged* and merged at the next window barrier in
+     * canonical (tick, component) order (drainRecStage), so every
+     * observer sees that order, not execution order.
      */
     void
     rec(sim::FlightRecorder::Ev kind, std::uint16_t comp, mem::Addr line,
@@ -366,20 +380,6 @@ class Chip
     {
         return _respRetries.load(std::memory_order_relaxed);
     }
-
-    /** Fresh id for an async trace span (chip-global sequence). */
-    std::uint64_t
-    nextTraceId()
-    {
-        return _traceIdSeq.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-
-    /**
-     * Attach (or detach, with nullptr) a structured trace sink: names
-     * the per-component tracks and mirrors time-series samples as
-     * counter events. The writer is not owned and must outlive the run.
-     */
-    void attachJson(sim::TraceJsonWriter *w);
 
     /** Register every chip-level stat under "chip." in @p reg. */
     void registerStats(sim::StatRegistry &reg) const;
@@ -469,10 +469,12 @@ class Chip
                       std::function<void(unsigned, const ProbeResult &)> done);
 
     /** Merge staged flight-recorder records (canonical order) into
-     *  the ring / profiler / watch log. Barrier-only. */
+     *  the ring and the other observers. Barrier-only. */
     void drainRecStage();
 
-    void recImpl(const sim::FlightRecorder::Record &r);
+    /** The observers beyond the ring: line profiler, narration and
+     *  the trace-event renderer. */
+    void observe(const sim::FlightRecorder::Record &r);
     void updateRecAny();
 
     void sampleOccupancy();
@@ -510,7 +512,6 @@ class Chip
     coherence::BackendTraits _backendTraits;
     sim::EventQueue _eq;
     sim::Router _router;
-    sim::Tracer _tracer;
     mem::AddressMap _map;
     mem::BackingStore _store;
     mem::DramModel _dram;
@@ -546,14 +547,15 @@ class Chip
     mutable std::array<sim::Counter, numMsgClasses> _reqRetriesStat;
     mutable sim::Counter _respRetriesStat, _retryExhaustedStat,
         _respDeliveredStat;
-    std::atomic<std::uint64_t> _traceIdSeq{0};
 
     sim::FlightRecorder _recorder;
     std::vector<sim::FlightRecorder::Record> _recStage;
     std::unique_ptr<coherence::LineProfiler> _profiler;
+    std::uint32_t _narrateKinds = 0;
     mem::Addr _watchLine = ~mem::Addr(0);
-    bool _recAny = false;  ///< recorder, profiler or watch line active
-    bool _recSlow = false; ///< profiler or watch line active
+    sim::TraceJsonWriter *_json = nullptr;
+    bool _recAny = false;  ///< any observer of the record stream on
+    bool _recSlow = false; ///< an observer beyond the ring on
     std::array<std::atomic<std::uint64_t>, numMsgClasses> _reqRetries{};
     std::atomic<std::uint64_t> _respRetries{0};
     std::atomic<std::uint64_t> _retryExhausted{0};

@@ -6,7 +6,6 @@
 #include "arch/chip.hh"
 #include "sim/host_profiler.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace arch {
 
@@ -146,10 +145,6 @@ void
 Cluster::evictLine(cache::Line &line, sim::Tick when)
 {
     panic_if(!line.valid, "evicting an invalid line");
-    TRACE(_chip.tracer(), sim::Category::Cache, "cluster", _id,
-          ": evict 0x", std::hex, line.base, std::dec,
-          line.incoherent ? " SWcc" : " HWcc",
-          line.dirty() ? " dirty" : " clean");
     (line.dirty() ? _evictDirty : _evictClean).inc();
     _chip.rec(FR::Ev::Evict, FR::compCluster(_id), line.base, 0,
               line.dirty() ? FR::evictDirty : 0,
@@ -727,9 +722,6 @@ Cluster::handleResponse(const Response &resp)
 bool
 Cluster::installFill(const Response &resp)
 {
-    TRACE(_chip.tracer(), sim::Category::Cache, "cluster", _id,
-          ": fill 0x", std::hex, resp.addr, std::dec,
-          resp.incoherent ? " incoherent" : " coherent");
     mem::Addr base = mem::lineBase(resp.addr);
     const MshrEntry *m = _mshrs.find(base);
     if (!m || m->expectId != resp.msgId)

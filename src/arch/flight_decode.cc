@@ -1,9 +1,11 @@
 #include "arch/flight_decode.hh"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "arch/protocol.hh"
 #include "cache/cache_array.hh"
+#include "sim/trace_json.hh"
 
 namespace arch {
 
@@ -179,13 +181,12 @@ describeRecordBody(const sim::FlightRecorder::Record &r)
         os << (r.a ? " now SWcc" : " now HWcc");
         msg();
         break;
+      // Transaction records carry no request type (a is 0).
       case Ev::TxnBegin:
-        req_type();
         line();
         os << " txn#" << r.txn << " msg#" << r.b;
         break;
       case Ev::TxnEnd:
-        req_type();
         line();
         os << " txn#" << r.txn;
         break;
@@ -202,6 +203,135 @@ describeRecord(const sim::FlightRecorder::Record &r)
     std::ostringstream os;
     os << "t=" << r.tick << ' ' << describeRecordBody(r);
     return os.str();
+}
+
+namespace {
+
+constexpr const char *groupNames[] = {"protocol", "cache", "transition",
+                                      "net", "fault"};
+
+/** Index into groupNames. The switch has no default, so a new kind
+ *  that is given no group fails to compile (-Wswitch). */
+unsigned
+groupOf(Ev e)
+{
+    switch (e) {
+      // The directory protocol at the home banks (Fig. 6).
+      case Ev::MsgRecv:
+      case Ev::TxnBegin:
+      case Ev::TxnEnd:
+      case Ev::DirInsert:
+      case Ev::DirState:
+      case Ev::DirErase:
+      case Ev::ProbeSend:
+      case Ev::ProbeRecv:
+      case Ev::ProbeAck:
+        return 0;
+      // The L2: fills, evictions, writebacks, SWcc flush/invalidate.
+      case Ev::Fill:
+      case Ev::Evict:
+      case Ev::Writeback:
+      case Ev::WbAck:
+      case Ev::SwccFlush:
+      case Ev::SwccInv:
+        return 1;
+      // The region table and the Fig. 7 HWcc<=>SWcc steps.
+      case Ev::TableRead:
+      case Ev::TableUpdate:
+      case Ev::TransBegin:
+      case Ev::TransStep:
+      case Ev::TransEnd:
+        return 2;
+      // Request and response legs through the fabric.
+      case Ev::MsgSend:
+      case Ev::RespSend:
+      case Ev::RespRecv:
+        return 3;
+      // Injected fabric losses and their recovery.
+      case Ev::MsgDrop:
+      case Ev::MsgRetransmit:
+      case Ev::RetransmitExhausted:
+        return 4;
+      case Ev::None:
+      case Ev::numEvents:
+        break;
+    }
+    return 0;
+}
+
+} // namespace
+
+const char *
+traceGroup(Ev e)
+{
+    return groupNames[groupOf(e)];
+}
+
+std::string
+traceGroupList()
+{
+    std::string out;
+    for (const char *g : groupNames)
+        out += std::string(g) + ",";
+    return out + "all,none";
+}
+
+KindMask
+parseTraceGroups(const std::string &spec)
+{
+    KindMask mask = 0;
+    std::stringstream ss(spec);
+    std::string tok;
+    while (std::getline(ss, tok, ',')) {
+        if (tok.empty())
+            continue;
+        bool known = tok == "all" || tok == "none";
+        for (unsigned k = 1; k < unsigned(Ev::numEvents); ++k) {
+            if (tok == "all" || tok == traceGroup(Ev(k))) {
+                mask |= KindMask(1) << k;
+                known = true;
+            }
+        }
+        if (!known) {
+            throw std::invalid_argument("unknown trace category '" + tok +
+                                        "' (valid: " + traceGroupList() +
+                                        ")");
+        }
+    }
+    return mask;
+}
+
+int
+traceTid(std::uint16_t comp)
+{
+    unsigned idx = FR::compIndex(comp);
+    switch (FR::compKind(comp)) {
+      case 1:
+        return sim::TraceJsonWriter::clusterTid(idx);
+      case 2:
+        return sim::TraceJsonWriter::bankTid(idx);
+      default:
+        return sim::TraceJsonWriter::machineTid;
+    }
+}
+
+void
+renderRecord(sim::TraceJsonWriter &w, const sim::FlightRecorder::Record &r)
+{
+    Ev e = static_cast<Ev>(r.kind);
+    if (e == Ev::TxnBegin || e == Ev::TxnEnd) {
+        // Bank-local sequences repeat across banks; the component
+        // makes the span id unique.
+        std::uint64_t id = (std::uint64_t(r.comp) << 32) | r.txn;
+        std::string name = FR::compName(r.comp) + " txn";
+        if (e == Ev::TxnBegin)
+            w.asyncBegin(id, r.tick, name, "txn");
+        else
+            w.asyncEnd(id, r.tick, name, "txn");
+        return;
+    }
+    w.instant(r.tick, traceTid(r.comp), describeRecordBody(r),
+              FR::evName(e));
 }
 
 } // namespace arch

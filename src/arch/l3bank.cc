@@ -7,8 +7,6 @@
 #include "cohesion/region_table.hh"
 #include "sim/host_profiler.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
-#include "sim/trace_json.hh"
 
 namespace arch {
 
@@ -97,24 +95,14 @@ L3Bank::receiveRequest(const Request &req)
     // .start() up to its first suspension); later segments re-open
     // the phase from the awaitable resume hooks.
     sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::BankMsg);
-    TRACE(_chip.tracer(), sim::Category::Protocol, "bank", _id, ": ",
-          reqTypeName(req.type), " 0x", std::hex, req.addr, std::dec,
-          " from cluster ", req.cluster);
     _chip.sampleReqLatency(msgClassFor(req.type),
                            _chip.eq().now() - req.sendTick);
     _chip.rec(FR::Ev::MsgRecv, FR::compBank(_id), mem::lineBase(req.addr),
               req.msgId, static_cast<std::uint8_t>(req.type), req.cluster);
-    std::uint64_t trace_id = 0;
-    if (sim::TraceJsonWriter *w = _chip.tracer().json()) {
-        trace_id = _chip.nextTraceId();
-        w->asyncBegin(trace_id, _chip.eq().now(),
-                      sim::cat("bank", _id, ":", reqTypeName(req.type)),
-                      "txn");
-    }
     // The pool never moves a slot, so the task stays put while its
     // first segment runs inside start().
     std::uint32_t s = claimSlot();
-    _txns[s].task = transaction(req, trace_id, s);
+    _txns[s].task = transaction(req, s);
     _txns[s].task.start();
 }
 
@@ -131,8 +119,7 @@ L3Bank::claimSlot()
 }
 
 sim::CoTask
-L3Bank::transaction(Request req, std::uint64_t trace_id,
-                    std::uint32_t slot)
+L3Bank::transaction(Request req, std::uint32_t slot)
 {
     const std::uint64_t txn = ++_txnSeq;
     Retire retire(*this, slot,
@@ -185,13 +172,6 @@ L3Bank::transaction(Request req, std::uint64_t trace_id,
     _txnsCompleted.inc();
     _chip.rec(FR::Ev::TxnEnd, FR::compBank(_id), mem::lineBase(req.addr),
               static_cast<std::uint32_t>(txn), 0, req.msgId);
-    if (trace_id) {
-        if (sim::TraceJsonWriter *w = _chip.tracer().json())
-            w->asyncEnd(trace_id, _chip.eq().now(),
-                        sim::cat("bank", _id, ":",
-                                 reqTypeName(req.type)),
-                        "txn");
-    }
 }
 
 void
@@ -249,9 +229,6 @@ L3Bank::sendProbes(const std::vector<unsigned> &targets, ProbeType type,
                    std::vector<std::pair<unsigned, ProbeResult>> *results,
                    AckGate *gate)
 {
-    TRACE(_chip.tracer(), sim::Category::Protocol, "bank", _id, ": ",
-          probeTypeName(type), " 0x", std::hex, addr, std::dec, " -> ",
-          targets.size(), " cluster(s)");
     for (unsigned cl : targets) {
         _chip.sendProbe(_id, cl, type, addr, txn,
                         [results, gate](unsigned c, const ProbeResult &r) {
@@ -394,9 +371,6 @@ L3Bank::lookupDomain(mem::Addr base, std::uint32_t txn, bool *out_swcc)
     *out_swcc = cohesion::fine_table::bitFromWord(word, map, base);
     _chip.rec(FR::Ev::TableRead, FR::compBank(_id), base, txn,
               *out_swcc ? 1 : 0, FR::tableFromMem);
-    TRACE(_chip.tracer(), sim::Category::Transition, "bank", _id,
-          ": lookup 0x", std::hex, base, std::dec, " -> ",
-          *out_swcc ? "SWcc" : "HWcc");
 }
 
 sim::CoTask
@@ -576,15 +550,6 @@ L3Bank::handleTableUpdate(Request req, sim::lat::Cursor *lat)
         }
 
         bool to_swcc = (next >> bit) & 1u;
-        TRACE(_chip.tracer(), sim::Category::Transition, "bank", _id,
-              ": line 0x", std::hex, lb, std::dec, " -> ",
-              to_swcc ? "SWcc" : "HWcc");
-        if (sim::TraceJsonWriter *w = _chip.tracer().json()) {
-            w->instant(eq.now(), sim::TraceJsonWriter::bankTid(_id),
-                       sim::cat("line 0x", std::hex, lb,
-                                to_swcc ? " ->SWcc" : " ->HWcc"),
-                       "transition");
-        }
         _chip.rec(FR::Ev::TransBegin, FR::compBank(_id), lb, req.msgId,
                   to_swcc ? 1 : 0, bit);
         if (to_swcc) {

@@ -249,10 +249,8 @@ class L3Bank
     };
 
     /** Top-level protocol transaction for one request, in slot
-     *  @p slot. @p trace_id is the nonzero async-span id when a JSON
-     *  trace sink is attached. */
-    sim::CoTask transaction(Request req, std::uint64_t trace_id,
-                            std::uint32_t slot);
+     *  @p slot. */
+    sim::CoTask transaction(Request req, std::uint32_t slot);
 
     /** Atomic RMW at the bank (non-table addresses). */
     sim::CoTask handleAtomic(Request req, sim::lat::Cursor *lat);

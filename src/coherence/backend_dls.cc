@@ -6,7 +6,6 @@
 #include "arch/chip.hh"
 #include "arch/l3bank.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace coherence {
 

@@ -7,7 +7,6 @@
 #include "arch/chip.hh"
 #include "arch/l3bank.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace coherence {
 
@@ -363,8 +362,6 @@ MsiBackend::flushLine(mem::Addr base, std::uint32_t txn,
                  static_cast<std::uint8_t>(FR::Step::Recall));
         co_await recallEntryRetry(base, txn, lock_key, lat);
         if (_dir.find(base)) {
-            TRACE(chip.tracer(), sim::Category::Transition, "bank",
-                  _bank._id, ": erase 0x", std::hex, base);
             chip.rec(FR::Ev::DirErase, FR::compBank(_bank._id), base, txn);
             _dir.erase(base);
         }

@@ -19,7 +19,6 @@
 #include "kernels/kernel.hh"
 #include "sim/host_profiler.hh"
 #include "sim/timeseries.hh"
-#include "sim/trace.hh"
 
 namespace harness {
 
@@ -105,19 +104,20 @@ struct RunResult
     sim::LatencyTotals latency;
 };
 
-/** Options controlling a run. New members go at the END: call sites
- *  aggregate-initialize the leading fields positionally. */
+/** Options controlling a run. */
 struct RunOptions
 {
     /** Sample the directory every 1000 cycles (Fig. 9c). */
     bool sampleOccupancy = false;
     /** Skip numerical verification (sweep speed). */
     bool skipVerify = false;
-    /** Debug-trace categories to enable (sim/trace.hh). */
-    sim::Category traceMask = sim::Category::None;
+    /** Record kinds to narrate to the log sink, bit k for
+     *  FlightRecorder::Ev k (arch::parseTraceGroups; 0: off). */
+    std::uint32_t traceMask = 0;
     /** Time-series sampling period (0: 1000 iff sampleOccupancy). */
     sim::Tick samplePeriod = 0;
-    /** Stream a Chrome trace-event JSON document here (not owned). */
+    /** Render the record stream as a Chrome trace-event JSON document
+     *  here (arch::renderRecord; not owned). */
     std::ostream *traceJson = nullptr;
     /** Dump the hierarchical stat registry as JSON here (not owned). */
     std::ostream *statsJson = nullptr;
@@ -131,8 +131,8 @@ struct RunOptions
     /** Write the binary recorder dump here after the run (empty: keep
      *  it only in RunResult::recorderDump). */
     std::string recorderDumpPath;
-    /** Narrate every recorded event touching this line as it happens
-     *  (~0: off). Matches the line containing the address. */
+    /** Also narrate every record touching this line, whatever its
+     *  kind (~0: off). Matches the line containing the address. */
     mem::Addr watchLine = ~mem::Addr(0);
     /** Per-line sharing-pattern profiler top-N table size. 0 defers to
      *  the default: enabled (top 8) whenever statsJson is requested. */

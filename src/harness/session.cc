@@ -119,7 +119,6 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     arch::Chip &chip = *_chip;
     runtime::CohesionRuntime &rt = *_rt;
 
-    chip.tracer().setMask(opts.traceMask);
     if (opts.audit)
         chip.enableAudit(opts.auditPeriod);
     // Later runs of a session (and restored sessions) keep the live
@@ -127,18 +126,30 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     // of an uninterrupted session from a restored one.
     if (opts.recorderCapacity && !chip.recorder().enabled())
         chip.enableRecorder(opts.recorderCapacity);
-    if (opts.watchLine != ~mem::Addr(0))
-        chip.setWatchLine(opts.watchLine);
     if (unsigned top_n = opts.profileTopN ? opts.profileTopN
                                           : (opts.statsJson ? 8u : 0u))
         chip.enableLineProfiler(top_n);
     if (opts.latency)
         chip.enableLatencyAccounting();
 
+    // The observers of the record stream are this run's: they detach
+    // on every exit path, so a chip that outlives a failed run never
+    // points at the writer below (the guard is declared after it, so
+    // it runs first).
     std::optional<sim::TraceJsonWriter> trace_json;
+    struct Detach
+    {
+        arch::Chip &chip;
+        ~Detach()
+        {
+            chip.setNarration(0, ~mem::Addr(0));
+            chip.renderTo(nullptr);
+        }
+    } detach{chip};
+    chip.setNarration(opts.traceMask, opts.watchLine);
     if (opts.traceJson) {
         trace_json.emplace(*opts.traceJson);
-        chip.attachJson(&*trace_json);
+        chip.renderTo(&*trace_json);
     }
 
     kernel.setup(rt);
@@ -289,7 +300,6 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
         sim::HostProfiler::Scope hp(
             sim::HostProfiler::Phase::TraceExport);
         trace_json->finish();
-        chip.attachJson(nullptr);
     }
     if (opts.hostProfile)
         r.hostProfile = sim::HostProfiler::threadSnapshot().since(prof0);

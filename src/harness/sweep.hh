@@ -9,11 +9,12 @@
  * runs such a family on a work-stealing std::thread pool, one fully
  * isolated Machine per job:
  *
- *  - a job owns its Chip, runtime, kernel, StatRegistry and Tracer;
- *    nothing mutable is shared between concurrent jobs (the event
- *    capture pool is thread-local, log output is captured per job via
- *    sim::LogCapture, and every Rng is seeded from the job's own
- *    config), so results are byte-identical for any --jobs value;
+ *  - a job owns its Chip, runtime, kernel and StatRegistry; nothing
+ *    mutable is shared between concurrent jobs (the event capture
+ *    pool is thread-local, log output and protocol narration are
+ *    captured per job via sim::LogCapture, and every Rng is seeded
+ *    from the job's own config), so results are byte-identical for
+ *    any --jobs value;
  *  - results come back in job-submission order regardless of which
  *    worker ran what, so table-printing call sites stay simple;
  *  - a job that throws is classified (audit / deadlock / panic /
@@ -92,7 +93,7 @@ struct JobResult
     JobOutcome outcome = JobOutcome::Ok;
     harness::RunResult run; ///< Valid iff outcome == Ok.
     std::string what;       ///< Exception message otherwise.
-    std::string log;        ///< warn()/inform()/panic() output of this
+    std::string log;        ///< warn()/logLine()/panic() output of this
                             ///< job only (never interleaved).
     double wallSec = 0;     ///< Host wall-clock spent in the body.
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cohesion/region_table.hh"
-#include "sim/trace_json.hh"
 
 namespace runtime {
 
@@ -28,7 +27,7 @@ Barrier::wait(arch::Core &core)
 
     if (old + 1 == _parties) {
         ++_episodesReleased;
-        releaseAll(my_episode);
+        releaseAll();
         co_return;
     }
     unsigned cl = id / _chip.config().coresPerCluster;
@@ -42,14 +41,8 @@ Barrier::wait(arch::Core &core)
 }
 
 void
-Barrier::releaseAll(std::uint64_t episode)
+Barrier::releaseAll()
 {
-    TRACE(_chip.tracer(), sim::Category::Runtime, "barrier: episode ",
-          episode + 1, " released");
-    if (sim::TraceJsonWriter *w = _chip.tracer().json()) {
-        w->instant(_chip.eq().now(), sim::TraceJsonWriter::machineTid,
-                   sim::cat("barrier.release ep", episode + 1), "runtime");
-    }
     sim::Tick when = _chip.eq().now() + _chip.config().netLatency;
     for (unsigned cl = 0; cl < _chip.numClusters(); ++cl) {
         _chip.postBarrierWake(when, [this, cl, when]() {

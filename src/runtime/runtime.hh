@@ -116,7 +116,7 @@ class Barrier
         std::uint64_t episode;
     };
 
-    void releaseAll(std::uint64_t episode);
+    void releaseAll();
 
     arch::Chip &_chip;
     mem::Addr _counterBase;

@@ -9,9 +9,6 @@ namespace sim {
 std::atomic<bool> HostProfiler::_on{false};
 std::atomic<unsigned> HostProfiler::_sampleShift{
     HostProfiler::defaultSampleShift};
-thread_local HostProfiler::Phase HostProfiler::_tlPhase =
-    HostProfiler::Phase::None;
-
 thread_local HostProfiler::ThreadAcc *HostProfiler::_tlAcc = nullptr;
 
 namespace {

@@ -215,8 +215,8 @@ class HostProfiler
             if (!t)
                 t = &threadAcc();
             _acc = &t->phases[static_cast<unsigned>(p)];
-            _prevPhase = _tlPhase;
-            _tlPhase = p;
+            _prevPhase = tlPhase();
+            tlPhase() = p;
             _restorePhase = true;
             _continuation = true;
             _t0 = clock::now();
@@ -261,7 +261,7 @@ class HostProfiler
             if (!_continuation)
                 ++_acc->timedCount;
             if (_restorePhase)
-                _tlPhase = _prevPhase;
+                tlPhase() = _prevPhase;
             _acc = nullptr;
         }
 
@@ -290,8 +290,8 @@ class HostProfiler
                 // continuations of *this* entry re-open the phase (see
                 // resumePhase), so the stride samples whole
                 // transactions, suspended segments included.
-                _prevPhase = _tlPhase;
-                _tlPhase = p;
+                _prevPhase = tlPhase();
+                tlPhase() = p;
                 _restorePhase = true;
             }
             _acc = &acc;
@@ -318,7 +318,7 @@ class HostProfiler
      * receipt or a lock grant; count-only entries stay at two
      * increments.
      */
-    static Phase resumePhase() { return _tlPhase; }
+    static Phase resumePhase() { return tlPhase(); }
 
     /** One thread's accumulators plus its per-phase sampling strides.
      *  Implementation detail (public so Scope::open can inline and the
@@ -339,8 +339,17 @@ class HostProfiler
     /** Atomic: concurrent sweep jobs may each enable() the profiler
      *  (last writer wins; they pass the same shift in practice). */
     static std::atomic<unsigned> _sampleShift;
-    static thread_local Phase _tlPhase;
     static thread_local ThreadAcc *_tlAcc;
+
+    /** The sampled phase a timed entry has open on this thread (see
+     *  resumePhase). A function-local thread_local: every translation
+     *  unit reaches the one constant-initialized variable directly. */
+    static Phase &
+    tlPhase()
+    {
+        static thread_local Phase phase = Phase::None;
+        return phase;
+    }
 };
 
 } // namespace sim

@@ -1,6 +1,5 @@
 #include "sim/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -8,8 +7,6 @@
 namespace sim {
 
 namespace {
-
-std::atomic<bool> verboseFlag{false};
 
 /** Innermost capture installed on this thread; null => stderr. */
 thread_local LogCapture *tlsCapture = nullptr;
@@ -38,18 +35,6 @@ emitLine(const std::string &line)
 } // namespace
 
 void
-setVerbose(bool verbose)
-{
-    verboseFlag.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return verboseFlag.load(std::memory_order_relaxed);
-}
-
-void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     emitLine(cat("panic: ", msg, " (", file, ":", line, ")\n"));
@@ -71,10 +56,9 @@ warnImpl(const std::string &msg)
 }
 
 void
-informImpl(const std::string &msg)
+logLine(const std::string &line)
 {
-    if (verbose())
-        emitLine("info: " + msg + "\n");
+    emitLine(line + "\n");
 }
 
 LogCapture::LogCapture() : _prev(tlsCapture)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Status and error reporting in the gem5 idiom: panic() for simulator
- * bugs, fatal() for user/configuration errors, warn()/inform() for
- * non-fatal status messages.
+ * bugs, fatal() for user/configuration errors, warn() for non-fatal
+ * status messages, and logLine() for protocol narration.
  *
  * Thread model: every message is routed through the calling thread's
  * log sink. By default that sink is stderr (writes are serialized by a
@@ -42,15 +42,12 @@ cat(Args &&...args)
 /** Print a warning to the thread's log sink; the simulation continues. */
 void warnImpl(const std::string &msg);
 
-/** Print an informational message to the thread's log sink. */
-void informImpl(const std::string &msg);
-
-/** Enable/disable inform() output (benches silence it). Process-wide. */
-void setVerbose(bool verbose);
-bool verbose();
+/** Print @p line verbatim, newline added, to the thread's log sink
+ *  (protocol narration: --trace and --watch-line). */
+void logLine(const std::string &line);
 
 /**
- * RAII redirection of this thread's warn()/inform()/panic()/fatal()
+ * RAII redirection of this thread's warn()/logLine()/panic()/fatal()
  * output into a private buffer. Captures nest (the innermost wins and
  * the previous sink is restored on destruction), and each simulator
  * thread owns its capture independently — this is what keeps the
@@ -105,7 +102,6 @@ class LogCapture
 #define fatal(...) \
     ::sim::fatalImpl(__FILE__, __LINE__, ::sim::cat(__VA_ARGS__))
 #define warn(...) ::sim::warnImpl(::sim::cat(__VA_ARGS__))
-#define inform(...) ::sim::informImpl(::sim::cat(__VA_ARGS__))
 
 #define panic_if(cond, ...)                  \
     do {                                     \

@@ -27,8 +27,10 @@
 #include <sstream>
 #include <string>
 
+#include "arch/flight_decode.hh"
 #include "harness/session.hh"
 #include "kernels/registry.hh"
+#include "sim/logging.hh"
 #include "sim/serialize.hh"
 #include "sim/stat_registry.hh"
 
@@ -83,12 +85,13 @@ fingerprint(harness::Session &session)
 }
 
 void
-runOn(harness::Session &session, const std::string &kernel_name)
+runOn(harness::Session &session, const std::string &kernel_name,
+      const harness::RunOptions &opts = {})
 {
     kernels::Params params;
     params.scale = 1;
     auto kernel = kernels::kernelFactory(kernel_name)(params);
-    session.run(*kernel);
+    session.run(*kernel, opts);
 }
 
 class CheckpointRoundTrip : public ::testing::TestWithParam<std::string>
@@ -186,17 +189,30 @@ TEST(Checkpoint, ModeMismatchIsRejected)
  *  state, the stat histograms and the flight-recorder ring in its
  *  staged merge order, so a change to the wire format or to the event
  *  schedule moves it. Re-record only with a recorded reason (a
- *  deliberate format or timing-model change). */
+ *  deliberate format or timing-model change). Observers (narration,
+ *  the trace-event renderer) are not part of the machine, so the same
+ *  run traced into every view must produce the same bytes. */
 constexpr std::uint64_t kSobelSnapshotDigest = 0xc1d60003cbb833baull;
 
 TEST(Checkpoint, SnapshotBytesMatchCommittedDigest)
 {
-    harness::Session session(testConfig(), kernels::Params{}.seed);
-    runOn(session, "sobel");
-    std::string blob = session.checkpoint();
-    EXPECT_FALSE(blob.empty());
-    EXPECT_EQ(fnv1a(blob), kSobelSnapshotDigest)
-        << "snapshot digest 0x" << std::hex << fnv1a(blob);
+    std::ostringstream json;
+    harness::RunOptions plain, traced;
+    traced.traceJson = &json;
+    traced.traceMask = arch::parseTraceGroups("all");
+    for (const harness::RunOptions *opts : {&plain, &traced}) {
+        harness::Session session(testConfig(), kernels::Params{}.seed);
+        {
+            sim::LogCapture narration;
+            runOn(session, "sobel", *opts);
+        }
+        std::string blob = session.checkpoint();
+        EXPECT_FALSE(blob.empty());
+        EXPECT_EQ(fnv1a(blob), kSobelSnapshotDigest)
+            << (opts == &traced ? "traced" : "plain")
+            << " snapshot digest 0x" << std::hex << fnv1a(blob);
+    }
+    EXPECT_FALSE(json.str().empty());
 }
 
 // --- CCKPT1 container ---------------------------------------------------

@@ -15,12 +15,15 @@
 #include <vector>
 
 #include "arch/chip.hh"
+#include "arch/flight_decode.hh"
 #include "arch/machine_config.hh"
 #include "kernels/registry.hh"
 #include "runtime/ctx.hh"
 #include "runtime/layout.hh"
 #include "sim/host_profiler.hh"
+#include "sim/logging.hh"
 #include "sim/stat_registry.hh"
+#include "sim/trace_json.hh"
 
 namespace {
 
@@ -51,15 +54,26 @@ struct Fingerprint
 
 /** One complete kernel run, reduced to its deterministic fingerprint.
  *  @p progress installs a hook on the shortest interval, maximising
- *  the number of extra event-queue burst boundaries. */
+ *  the number of extra event-queue burst boundaries. @p traced turns
+ *  on every observer of the record stream: narration of all kinds and
+ *  of a watched line, and the trace-event renderer. */
 Fingerprint
-runOnce(const std::string &kernel_name, bool progress = false)
+runOnce(const std::string &kernel_name, bool progress = false,
+        bool traced = false)
 {
     arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
     arch::Chip chip(cfg, runtime::Layout::tableBase);
     runtime::CohesionRuntime rt(chip);
     if (progress)
         chip.setProgressHook([](sim::Tick, std::uint64_t) {}, 0.0);
+    sim::LogCapture narration;
+    std::ostringstream json;
+    sim::TraceJsonWriter writer(json);
+    if (traced) {
+        chip.setNarration(arch::parseTraceGroups("all"),
+                          runtime::Layout::incHeapBase);
+        chip.renderTo(&writer);
+    }
 
     kernels::Params params;
     params.scale = 1;
@@ -85,6 +99,11 @@ runOnce(const std::string &kernel_name, bool progress = false)
     std::ostringstream csv;
     reg.dumpCsv(csv);
     fp.statHash = fnv1a(csv.str());
+    if (traced) {
+        EXPECT_FALSE(narration.empty());
+        EXPECT_GT(writer.events(), 0u);
+        chip.renderTo(nullptr);
+    }
     return fp;
 }
 
@@ -101,9 +120,10 @@ TEST(Determinism, RepeatedRunIsBitIdentical)
     EXPECT_GT(a.eventsRun, 0u);
 }
 
-/** The host profiler and the progress hook are strictly observers:
- *  the golden fingerprint (which hashes the chip's stat registry —
- *  host.* never registers there) must not move when either is on. */
+/** The host profiler, the progress hook and the record stream's
+ *  observers are strictly observers: the golden fingerprint (which
+ *  hashes the chip's stat registry — host.* never registers there)
+ *  must not move when any of them is on. */
 TEST(Determinism, ProfilerAndProgressDoNotPerturb)
 {
     Fingerprint base = runOnce("heat");
@@ -115,10 +135,13 @@ TEST(Determinism, ProfilerAndProgressDoNotPerturb)
     Fingerprint both = runOnce("heat", /*progress=*/true);
     sim::HostProfiler::disable();
     Fingerprint progressed = runOnce("heat", /*progress=*/true);
+    Fingerprint traced =
+        runOnce("heat", /*progress=*/false, /*traced=*/true);
 
     EXPECT_TRUE(base == profiled);
     EXPECT_TRUE(base == progressed);
     EXPECT_TRUE(base == both);
+    EXPECT_TRUE(base == traced);
 
     // And the profiler actually observed the profiled runs.
     sim::HostProfiler::Profile p = sim::HostProfiler::threadSnapshot();

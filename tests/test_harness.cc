@@ -1,17 +1,19 @@
 /** @file
  * Harness-layer units: the Fig. 2 message taxonomy (names, sizes,
- * counting, merging), the statistics report, trace-category parsing,
- * and the table printer.
+ * counting, merging), the statistics report, the --trace groups of
+ * recorder kinds, and the table printer.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "arch/flight_decode.hh"
 #include "arch/msg.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
-#include "sim/trace.hh"
 
 namespace {
 
@@ -93,30 +95,63 @@ TEST(Report, CsvHasHeaderAndRows)
     EXPECT_NE(out.find("sim.cycles,5"), std::string::npos);
 }
 
-TEST(Trace, ParseCategories)
+using FR = sim::FlightRecorder;
+
+arch::KindMask
+bit(FR::Ev e)
 {
-    using sim::Category;
-    EXPECT_EQ(sim::parseCategories(""), Category::None);
-    EXPECT_EQ(sim::parseCategories("all"), Category::All);
-    Category c = sim::parseCategories("protocol,transition");
-    EXPECT_TRUE(sim::any(c, Category::Protocol));
-    EXPECT_TRUE(sim::any(c, Category::Transition));
-    EXPECT_FALSE(sim::any(c, Category::Dram));
-    EXPECT_THROW(sim::parseCategories("bogus"), std::runtime_error);
+    return arch::KindMask(1) << static_cast<unsigned>(e);
 }
 
-TEST(Trace, RecordsOnlyEnabledCategories)
+TEST(Trace, ParseCategories)
 {
-    sim::EventQueue eq;
-    sim::Tracer tracer(eq);
-    std::ostringstream os;
-    tracer.setStream(&os);
-    tracer.setMask(sim::Category::Protocol);
-    TRACE(tracer, sim::Category::Protocol, "hello ", 42);
-    TRACE(tracer, sim::Category::Dram, "ignored");
-    EXPECT_EQ(tracer.records(), 1u);
-    EXPECT_NE(os.str().find("[protocol] hello 42"), std::string::npos);
-    EXPECT_EQ(os.str().find("ignored"), std::string::npos);
+    EXPECT_EQ(arch::parseTraceGroups(""), 0u);
+    EXPECT_EQ(arch::parseTraceGroups("none"), 0u);
+    arch::KindMask all = arch::parseTraceGroups("all");
+    for (unsigned k = 1; k < unsigned(FR::Ev::numEvents); ++k)
+        EXPECT_TRUE(all & bit(FR::Ev(k))) << FR::evName(FR::Ev(k));
+    EXPECT_FALSE(all & bit(FR::Ev::None));
+
+    arch::KindMask m = arch::parseTraceGroups("protocol,transition");
+    EXPECT_TRUE(m & bit(FR::Ev::MsgRecv));
+    EXPECT_TRUE(m & bit(FR::Ev::DirState));
+    EXPECT_TRUE(m & bit(FR::Ev::TableRead));
+    EXPECT_TRUE(m & bit(FR::Ev::TransStep));
+    EXPECT_FALSE(m & bit(FR::Ev::Fill));
+    EXPECT_FALSE(m & bit(FR::Ev::MsgDrop));
+
+    // An unknown name is an error that lists the valid ones. dram,
+    // runtime and watchdog have no record kinds behind them.
+    for (const char *bad : {"bogus", "dram", "runtime", "watchdog",
+                            "protocol,bogus"}) {
+        try {
+            arch::parseTraceGroups(bad);
+            ADD_FAILURE() << bad << " parsed";
+        } catch (const std::invalid_argument &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("protocol,cache,transition,net,fault"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(Trace, EveryKindBelongsToExactlyOneGroup)
+{
+    arch::KindMask seen = 0;
+    for (const char *g : {"protocol", "cache", "transition", "net",
+                          "fault"}) {
+        arch::KindMask m = arch::parseTraceGroups(g);
+        EXPECT_NE(m, 0u) << g;
+        EXPECT_EQ(seen & m, 0u) << g << " overlaps an earlier group";
+        seen |= m;
+        for (unsigned k = 1; k < unsigned(FR::Ev::numEvents); ++k) {
+            EXPECT_EQ(bool(m & bit(FR::Ev(k))),
+                      std::string(arch::traceGroup(FR::Ev(k))) == g)
+                << FR::evName(FR::Ev(k));
+        }
+    }
+    EXPECT_EQ(seen, arch::parseTraceGroups("all"));
 }
 
 TEST(Table, AlignsAndFormats)

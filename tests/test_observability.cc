@@ -2,8 +2,8 @@
  * Observability layer: the hierarchical StatRegistry and its export
  * formats, the dependency-free JSON parser/writer, the event-queue
  * time-series sampler, the Chrome trace-event JSON exporter (output is
- * parsed back to prove the documents are well-formed), the Tracer's
- * JSON mirroring, and the request-type -> message-class accounting.
+ * parsed back to prove the documents are well-formed), and the
+ * request-type -> message-class accounting.
  * Ends with an end-to-end kernel run exercising the harness wiring
  * behind --stats-json / --trace-json.
  */
@@ -25,7 +25,6 @@
 #include "sim/json.hh"
 #include "sim/stat_registry.hh"
 #include "sim/timeseries.hh"
-#include "sim/trace.hh"
 #include "sim/trace_json.hh"
 
 namespace {
@@ -374,52 +373,6 @@ TEST(TraceJson, DestructorClosesTheDocument)
     std::string err;
     ASSERT_TRUE(sim::parseJson(os.str(), &doc, &err)) << err;
     EXPECT_EQ(doc.find("traceEvents")->arr.size(), 1u);
-}
-
-// --------------------------------------------------------------- Tracer
-
-TEST(Tracer, CategoryNamesRoundTripThroughParser)
-{
-    using sim::Category;
-    for (Category c : {Category::Protocol, Category::Cache,
-                       Category::Transition, Category::Net,
-                       Category::Dram, Category::Runtime}) {
-        EXPECT_EQ(sim::parseCategories(sim::categoryName(c)), c);
-    }
-}
-
-TEST(Tracer, MirrorsTextRecordsAsJsonInstants)
-{
-    sim::EventQueue eq;
-    sim::Tracer tracer(eq);
-    std::ostringstream text;
-    tracer.setStream(&text);
-
-    std::ostringstream json;
-    sim::TraceJsonWriter w(json);
-    tracer.setJson(&w);
-    EXPECT_EQ(tracer.json(), &w);
-
-    tracer.setMask(sim::Category::Net);
-    TRACE(tracer, sim::Category::Net, "msg ", 7);
-    TRACE(tracer, sim::Category::Dram, "masked out");
-    EXPECT_EQ(tracer.records(), 1u);
-    EXPECT_EQ(w.events(), 1u);
-    EXPECT_NE(text.str().find("msg 7"), std::string::npos);
-
-    tracer.setJson(nullptr);
-    TRACE(tracer, sim::Category::Net, "text only");
-    EXPECT_EQ(tracer.records(), 2u);
-    EXPECT_EQ(w.events(), 1u);
-
-    w.finish();
-    sim::JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(sim::parseJson(json.str(), &doc, &err)) << err;
-    const sim::JsonValue &ev = doc.find("traceEvents")->arr.at(0);
-    EXPECT_EQ(ev.find("ph")->str, "i");
-    EXPECT_EQ(ev.find("name")->str, "msg 7");
-    EXPECT_EQ(ev.find("cat")->str, "net");
 }
 
 // ---------------------------------------------------- message classing

@@ -13,7 +13,11 @@
  *    top-N contended-lines table and per-region summaries (validated
  *    through the bundled JSON parser);
  *  - a forced deadlock's post-mortem dump includes the wedged lines'
- *    recorder histories.
+ *    recorder histories;
+ *  - the observers of the merged record stream: --trace and
+ *    --watch-line narrate exactly the ring's records (also with the
+ *    ring off), and --trace-json renders exactly what
+ *    cohesion-trace --perfetto renders from the run's dump.
  */
 
 #include <gtest/gtest.h>
@@ -27,11 +31,14 @@
 
 #include "arch/flight_decode.hh"
 #include "harness/runner.hh"
+#include "harness/session.hh"
 #include "harness/sweep.hh"
 #include "kernels/registry.hh"
 #include "protocol_rig.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/json.hh"
+#include "sim/logging.hh"
+#include "sim/trace_json.hh"
 
 namespace {
 
@@ -521,6 +528,242 @@ TEST(PostMortem, DeadlockDumpIncludesRecorderHistory)
             << "post-mortem dump has no recorder history:\n"
             << e.dump();
     }
+}
+
+// ---------------------------------------------------------------------
+// The record stream's observers: narration and trace-event rendering
+// ---------------------------------------------------------------------
+
+/** A ring that holds a whole 2-cluster sobel run without wrapping. */
+constexpr std::uint32_t kWholeRunRing = 1u << 16;
+
+struct StreamRun
+{
+    harness::RunResult result;
+    std::vector<FR::Record> ring; ///< the dump, oldest first
+    std::string log;              ///< everything narrated
+};
+
+/** One 2-cluster sobel run with @p opts, its log captured. */
+StreamRun
+streamRun(harness::RunOptions opts)
+{
+    arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
+    kernels::Params params;
+    params.scale = 1;
+    StreamRun run;
+    sim::LogCapture cap;
+    run.result = harness::runKernel(cfg, kernels::kernelFactory("sobel"),
+                                    params, opts);
+    run.log = cap.text();
+    if (!run.result.recorderDump.empty()) {
+        std::string err;
+        EXPECT_TRUE(FR::deserialize(run.result.recorderDump, &run.ring,
+                                    &err))
+            << err;
+        EXPECT_EQ(run.ring.size(), run.result.recorderRecorded)
+            << "the ring wrapped; raise kWholeRunRing";
+    }
+    return run;
+}
+
+/** describeRecord of every record @p keep accepts, one per line. */
+template <typename Keep>
+std::string
+narration(const std::vector<FR::Record> &ring, Keep keep)
+{
+    std::string out;
+    for (const FR::Record &r : ring) {
+        if (keep(r))
+            out += arch::describeRecord(r) + '\n';
+    }
+    return out;
+}
+
+bool
+inMask(arch::KindMask mask, const FR::Record &r)
+{
+    return (mask >> r.kind) & 1u;
+}
+
+TEST(RecordStream, TraceNarratesExactlyTheRingRecordsOfItsGroups)
+{
+    harness::RunOptions opts;
+    opts.recorderCapacity = kWholeRunRing;
+    opts.traceMask = arch::parseTraceGroups("protocol,cache,transition");
+    StreamRun run = streamRun(opts);
+
+    std::string want = narration(run.ring, [&](const FR::Record &r) {
+        return inMask(opts.traceMask, r);
+    });
+    // Every narrated group occurs in the run.
+    for (FR::Ev e : {FR::Ev::MsgRecv, FR::Ev::Fill, FR::Ev::TableRead}) {
+        EXPECT_NE(want.find(FR::evName(e)), std::string::npos)
+            << FR::evName(e);
+    }
+    EXPECT_EQ(run.log, want);
+}
+
+TEST(RecordStream, NarrationWorksWithTheRingOff)
+{
+    harness::RunOptions opts;
+    opts.recorderCapacity = kWholeRunRing;
+    opts.traceMask = arch::parseTraceGroups("all");
+    StreamRun on = streamRun(opts);
+    ASSERT_FALSE(on.log.empty());
+    EXPECT_EQ(on.log, narration(on.ring, [](const FR::Record &) {
+                  return true;
+              }));
+
+    opts.recorderCapacity = 0;
+    StreamRun off = streamRun(opts);
+    EXPECT_TRUE(off.result.recorderDump.empty());
+    EXPECT_EQ(off.log, on.log);
+}
+
+TEST(RecordStream, WatchLineNarratesExactlyThatLine)
+{
+    harness::RunOptions opts;
+    opts.recorderCapacity = kWholeRunRing;
+    StreamRun plain = streamRun(opts);
+    ASSERT_TRUE(plain.log.empty());
+
+    // The line of the run's first bank transaction; any address inside
+    // the line selects it.
+    mem::Addr line = 0;
+    for (const FR::Record &r : plain.ring) {
+        if (is(r, FR::Ev::TxnBegin)) {
+            line = r.line;
+            break;
+        }
+    }
+    ASSERT_NE(line, 0u);
+    opts.watchLine = line + 4;
+    StreamRun watched = streamRun(opts);
+
+    std::string want = narration(watched.ring, [&](const FR::Record &r) {
+        return r.line == line;
+    });
+    EXPECT_NE(want.find("txn.begin"), std::string::npos);
+    EXPECT_EQ(watched.log, want);
+    // Watching observes: the machine ran the same schedule.
+    EXPECT_EQ(watched.result.recorderDump, plain.result.recorderDump);
+}
+
+/** The trace events of @p doc with phase i, b or e, re-encoded one per
+ *  line for comparison. */
+std::vector<std::string>
+instantsAndSpans(const std::string &doc)
+{
+    sim::JsonValue v;
+    std::string err;
+    EXPECT_TRUE(sim::parseJson(doc, &v, &err)) << err;
+    std::vector<std::string> out;
+    const sim::JsonValue *events = v.find("traceEvents");
+    if (!events)
+        return out;
+    for (const sim::JsonValue &e : events->arr) {
+        const std::string &ph = e.find("ph")->str;
+        if (ph != "i" && ph != "b" && ph != "e")
+            continue;
+        const sim::JsonValue *id = e.find("id");
+        out.push_back(sim::cat(ph, ' ', e.find("ts")->number, ' ',
+                               e.find("tid")->number, ' ',
+                               e.find("cat")->str, ' ',
+                               id ? id->str : "-", ' ',
+                               e.find("name")->str));
+    }
+    return out;
+}
+
+TEST(RecordStream, TraceJsonPairsOneSpanPerBankTransaction)
+{
+    std::ostringstream json;
+    harness::RunOptions opts;
+    opts.recorderCapacity = kWholeRunRing;
+    opts.traceJson = &json;
+    StreamRun run = streamRun(opts);
+
+    std::size_t begins = 0, ends = 0;
+    for (const FR::Record &r : run.ring) {
+        begins += is(r, FR::Ev::TxnBegin);
+        ends += is(r, FR::Ev::TxnEnd);
+    }
+    ASSERT_GT(begins, 0u);
+
+    sim::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(sim::parseJson(json.str(), &doc, &err)) << err;
+    std::vector<std::string> open_ids, closed_ids;
+    for (const sim::JsonValue &e : doc.find("traceEvents")->arr) {
+        const std::string &ph = e.find("ph")->str;
+        if (ph == "b")
+            open_ids.push_back(e.find("id")->str);
+        else if (ph == "e")
+            closed_ids.push_back(e.find("id")->str);
+    }
+    EXPECT_EQ(open_ids.size(), begins);
+    EXPECT_EQ(closed_ids.size(), ends);
+    // Every span closes exactly once, under the id it opened with.
+    std::sort(open_ids.begin(), open_ids.end());
+    std::sort(closed_ids.begin(), closed_ids.end());
+    EXPECT_EQ(std::adjacent_find(open_ids.begin(), open_ids.end()),
+              open_ids.end())
+        << "two spans share an id";
+    EXPECT_EQ(open_ids, closed_ids);
+}
+
+TEST(RecordStream, TraceJsonEqualsThePerfettoRenderOfTheDump)
+{
+    std::ostringstream json;
+    harness::RunOptions opts;
+    opts.recorderCapacity = kWholeRunRing;
+    opts.traceJson = &json;
+    StreamRun run = streamRun(opts);
+
+    // What cohesion-trace --perfetto writes for the unfiltered dump.
+    std::ostringstream dumped;
+    {
+        sim::TraceJsonWriter w(dumped);
+        for (const FR::Record &r : run.ring)
+            arch::renderRecord(w, r);
+    }
+    std::vector<std::string> live = instantsAndSpans(json.str());
+    std::vector<std::string> offline = instantsAndSpans(dumped.str());
+    ASSERT_EQ(live.size(), run.ring.size());
+    EXPECT_EQ(live, offline);
+}
+
+TEST(RecordStream, ObserversDetachWhenTheRunThrows)
+{
+    arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
+    cfg.maxCycles = 2'000; // the watchdog stops sobel early
+    kernels::Params params;
+    params.scale = 1;
+    harness::Session session(cfg, params.seed);
+    std::ostringstream json;
+    harness::RunOptions opts;
+    opts.traceJson = &json;
+    opts.samplePeriod = 500;
+    opts.traceMask = arch::parseTraceGroups("all");
+    auto kernel = kernels::kernelFactory("sobel")(params);
+    {
+        sim::LogCapture cap;
+        EXPECT_THROW(session.run(*kernel, opts), arch::DeadlockError);
+    }
+    // The writer closed its document when the run unwound, and the
+    // chip let go of it: a later sample or record reaches no observer.
+    const std::string closed = json.str();
+    sim::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(sim::parseJson(closed, &doc, &err)) << err;
+    sim::LogCapture cap;
+    session.chip().timeSeries().sampleNow();
+    session.chip().rec(FR::Ev::DirErase, FR::compBank(0), 0x1000, 1);
+    sim::StatRegistry reg;
+    session.chip().registerStats(reg); // drains the staged record
+    EXPECT_EQ(json.str(), closed);
+    EXPECT_TRUE(cap.empty()) << cap.text();
 }
 
 } // namespace

@@ -24,8 +24,13 @@
  *   --occupancy       sample directory occupancy every 1000 cycles
  *   --no-verify       skip numerical verification
  *   --csv             emit CSV instead of the report
+ *   --trace GROUPS    narrate the flight-recorder records of these
+ *                     groups to stderr, one decoded line each:
+ *                     protocol,cache,transition,net,fault or all
  *   --stats-json F    hierarchical statistics as JSON ("-" = stdout)
- *   --trace-json F    Chrome trace-event / Perfetto JSON trace
+ *   --trace-json F    the same records as a Chrome trace-event /
+ *                     Perfetto JSON trace (what cohesion-trace
+ *                     --perfetto renders from a dump)
  *   --sample-period N sample the time series every N cycles
  *   --timeseries-csv F  sampled series as tidy CSV ("-" = stdout)
  *   --fault-plan F    JSON fault campaign (sim/fault.hh schema)
@@ -35,7 +40,7 @@
  *   --recorder N      flight-recorder ring capacity (0 disables)
  *   --recorder-dump F write the binary recorder dump after the run
  *                     (decode with cohesion-trace)
- *   --watch-line A    narrate recorded events touching line A live
+ *   --watch-line A    also narrate every record touching line A
  *   --latency         per-transaction latency accounting (adds the
  *                     chip.latency.* / latency.* blame breakdown;
  *                     observer-only, results are byte-identical)
@@ -58,14 +63,13 @@
 #include <string>
 #include <vector>
 
+#include "arch/flight_decode.hh"
 #include "coherence/backend.hh"
 #include "harness/hostprof.hh"
 #include "harness/progress.hh"
 #include "harness/report.hh"
 #include "sim/fault.hh"
 #include "sim/serialize.hh"
-#include "sim/logging.hh"
-#include "sim/trace.hh"
 #include "harness/runner.hh"
 #include "kernels/registry.hh"
 
@@ -91,8 +95,7 @@ usage(int code)
         "                    [--latency] [--latency-topn N]\n"
         "                    [--host-profile FILE] [--progress[=FILE]]\n"
         "                    [--checkpoint-at FILE] [--restore FILE]\n"
-        "  trace categories: protocol,cache,transition,net,dram,\n"
-        "                    runtime,watchdog,fault,all\n"
+        "  trace categories: " << arch::traceGroupList() << "\n"
         "  FILE may be \"-\" for stdout (except --trace-json)\n";
     std::exit(code);
 }
@@ -225,8 +228,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--watch-line")) {
             opts.watchLine =
                 std::strtoull(next("--watch-line"), nullptr, 0);
-            // Narration goes through inform(), which is off by default.
-            sim::setVerbose(true);
         } else if (!std::strcmp(argv[i], "--list")) {
             for (const auto &k : kernels::allKernelNames())
                 std::cout << k << '\n';
@@ -284,6 +285,14 @@ main(int argc, char **argv)
     if (fault_seed)
         cfg.faults.seed = fault_seed;
 
+    try {
+        opts.traceMask = arch::parseTraceGroups(trace);
+    } catch (const std::invalid_argument &e) {
+        // Exit 2: a usage error, like an unknown backend.
+        std::cerr << "--trace: " << e.what() << '\n';
+        return 2;
+    }
+
     if (!stats_json.empty())
         opts.statsJson = openSink(stats_json, sinks);
     if (!trace_json.empty()) {
@@ -314,7 +323,6 @@ main(int argc, char **argv)
     }
 
     try {
-        opts.traceMask = sim::parseCategories(trace);
         harness::RunResult r = harness::runKernel(
             cfg, kernels::kernelFactory(kernel), params, opts);
         if (!timeseries_csv.empty())

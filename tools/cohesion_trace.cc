@@ -18,6 +18,8 @@
  *                    the bank transactions TxnBegin binds to it)
  *   --tick-range A:B only events with A <= tick <= B
  *   --perfetto FILE  write the filtered events as trace-event JSON
+ *                    (arch::renderRecord, the renderer behind
+ *                    cohesion-sim --trace-json)
  *   --limit N        print at most the last N matching events
  *   --quiet          suppress the narrative (useful with --perfetto)
  *   --critical-path  with --txn N: walk the line-lock blocker chain of
@@ -420,23 +422,11 @@ main(int argc, char **argv)
         sim::TraceJsonWriter w(out);
         std::set<std::uint16_t> named;
         for (const FlightRecorder::Record *r : matched) {
-            int tid = sim::TraceJsonWriter::machineTid;
-            unsigned idx = FlightRecorder::compIndex(r->comp);
-            switch (FlightRecorder::compKind(r->comp)) {
-              case 1:
-                tid = sim::TraceJsonWriter::clusterTid(idx);
-                break;
-              case 2:
-                tid = sim::TraceJsonWriter::bankTid(idx);
-                break;
-              default:
-                break;
+            if (named.insert(r->comp).second) {
+                w.threadName(arch::traceTid(r->comp),
+                             FlightRecorder::compName(r->comp));
             }
-            if (named.insert(r->comp).second)
-                w.threadName(tid, FlightRecorder::compName(r->comp));
-            w.instant(r->tick, tid, arch::describeRecordBody(*r),
-                      FlightRecorder::evName(
-                          static_cast<FlightRecorder::Ev>(r->kind)));
+            arch::renderRecord(w, *r);
         }
         w.finish();
         if (!quiet)
