@@ -7,11 +7,10 @@
 
 namespace harness {
 
-std::string
-jobObjectJson(const sim::JobResult &r)
+void
+writeJobFields(std::ostream &os, const sim::JobResult &r)
 {
-    std::ostringstream os;
-    os << "{\"label\": ";
+    os << "\"label\": ";
     sim::writeJsonString(os, r.label);
     os << ", \"outcome\": ";
     sim::writeJsonString(os, sim::jobOutcomeName(r.outcome));
@@ -36,6 +35,14 @@ jobObjectJson(const sim::JobResult &r)
         os << ", \"log\": ";
         sim::writeJsonString(os, r.log);
     }
+}
+
+std::string
+jobObjectJson(const sim::JobResult &r)
+{
+    std::ostringstream os;
+    os << "{";
+    writeJobFields(os, r);
     os << "}";
     return os.str();
 }

@@ -36,6 +36,13 @@ namespace harness {
 std::string jobObjectJson(const sim::JobResult &r);
 
 /**
+ * The fields of jobObjectJson without the enclosing braces, so a
+ * writer that adds its own fields (cohesion-sweep's unjournaled
+ * "host" block) renders the shared ones from this one place.
+ */
+void writeJobFields(std::ostream &os, const sim::JobResult &r);
+
+/**
  * Compose the deterministic results document from per-job object
  * strings in submission order. The wrapper carries the same schema
  * tag; the top-level "host" aggregate is omitted for the same reason

@@ -1,11 +1,14 @@
 /** @file
  * Harness-layer units: the Fig. 2 message taxonomy (names, sizes,
- * counting, merging), the statistics report, the --trace groups of
- * recorder kinds, and the table printer.
+ * counting, merging), the statistics report and its legacy flat
+ * aggregates, the --trace groups of recorder kinds, and the table
+ * printer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,7 +16,10 @@
 #include "arch/flight_decode.hh"
 #include "arch/msg.hh"
 #include "harness/report.hh"
+#include "harness/runner.hh"
 #include "harness/table.hh"
+#include "kernels/registry.hh"
+#include "sim/json.hh"
 
 namespace {
 
@@ -93,6 +99,116 @@ TEST(Report, CsvHasHeaderAndRows)
     std::string out = os.str();
     EXPECT_NE(out.find("stat,value\n"), std::string::npos);
     EXPECT_NE(out.find("sim.cycles,5"), std::string::npos);
+}
+
+/** Every number of a stats-json document, by dotted path. */
+void
+flatten(const std::string &path, const sim::JsonValue &v,
+        std::map<std::string, double> &out)
+{
+    if (v.isNumber())
+        out[path] = v.number;
+    for (const auto &[key, child] : v.obj)
+        flatten(path.empty() ? key : path + "." + key, child, out);
+}
+
+/** The sum of chip.<comp>N.<stat> over every instance N. */
+double
+chipSum(const std::map<std::string, double> &flat, const std::string &comp,
+        const std::string &stat)
+{
+    const std::string prefix = "chip." + comp;
+    double sum = 0;
+    unsigned instances = 0;
+    for (const auto &[key, value] : flat) {
+        if (key.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        std::size_t i = prefix.size();
+        while (i < key.size() &&
+               std::isdigit(static_cast<unsigned char>(key[i])))
+            ++i;
+        if (i > prefix.size() && key.compare(i, std::string::npos,
+                                             "." + stat) == 0) {
+            sum += value;
+            ++instances;
+        }
+    }
+    EXPECT_GT(instances, 0u) << prefix << "*." << stat;
+    return sum;
+}
+
+/** Session::run sums the legacy flat aggregates (l2.hits,
+ *  dir.evictions, l2_out.*, ...) by hand, while Chip::registerStats
+ *  exports the same per-component counters under chip.*. The two
+ *  must agree in every mode, and under drops that make retries. */
+TEST(Report, FlatAggregatesAreSumsOfChipCounters)
+{
+    const std::map<std::string, std::string> clusterSums = {
+        {"l2.hits", "l2.hits"},
+        {"l2.misses", "l2.misses"},
+        {"swcc.flush_issued", "flush.issued"},
+        {"swcc.flush_useful", "flush.useful"},
+        {"swcc.inv_issued", "inv.issued"},
+        {"swcc.inv_useful", "inv.useful"},
+    };
+    const std::map<std::string, std::string> bankSums = {
+        {"l3.hits", "l3.hits"},
+        {"l3.misses", "l3.misses"},
+        {"dir.evictions", "dir.evictions"},
+        {"dir.insertions", "dir.insertions"},
+        {"dir.peak_entries", "dir.peak"},
+        {"cohesion.transitions", "transitions"},
+        {"cohesion.table_lookups", "table_lookups"},
+        {"cohesion.merge_conflicts", "merge_conflicts"},
+        {"atomics.executed", "atomics"},
+    };
+    for (arch::CoherenceMode mode :
+         {arch::CoherenceMode::SWccOnly, arch::CoherenceMode::HWccOnly,
+          arch::CoherenceMode::Cohesion}) {
+        SCOPED_TRACE(arch::coherenceModeName(mode));
+        arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
+        cfg.mode = mode;
+        cfg.faults.site(sim::FaultSite::FabricC2BDrop).rate = 0.02;
+        std::ostringstream json;
+        harness::RunOptions opts;
+        opts.statsJson = &json;
+        harness::runKernel(cfg, kernels::kernelFactory("kmeans"),
+                           kernels::Params{}, opts);
+        sim::JsonValue doc;
+        ASSERT_TRUE(sim::parseJson(json.str(), &doc));
+        std::map<std::string, double> flat;
+        flatten("", doc, flat);
+        ASSERT_GT(flat.at("faults.injected"), 0);
+
+        for (const auto &[name, stat] : clusterSums)
+            EXPECT_EQ(flat.at(name), chipSum(flat, "cluster", stat)) << name;
+        for (const auto &[name, stat] : bankSums)
+            EXPECT_EQ(flat.at(name), chipSum(flat, "bank", stat)) << name;
+
+        double classes = 0;
+        for (unsigned c = 0; c < arch::numMsgClasses; ++c) {
+            std::string cls = arch::msgClassName(static_cast<MsgClass>(c));
+            double sum = chipSum(flat, "cluster", "out." + cls);
+            EXPECT_EQ(flat.at("l2_out." + cls), sum) << cls;
+            classes += sum;
+        }
+        EXPECT_EQ(flat.at("l2_out.total"), classes);
+
+        unsigned mirrored = 0;
+        for (const auto &[name, value] : flat) {
+            bool retry = name.compare(0, 8, "retries.") == 0;
+            bool latency = name.compare(0, 8, "latency.") == 0 &&
+                           name.size() > 6 &&
+                           name.compare(name.size() - 6, 6, ".count") == 0;
+            if (!retry && !latency)
+                continue;
+            auto chip = flat.find("chip." + name);
+            ASSERT_NE(chip, flat.end()) << name;
+            EXPECT_EQ(value, chip->second) << name;
+            ++mirrored;
+        }
+        EXPECT_GT(mirrored, 0u);
+    }
 }
 
 using FR = sim::FlightRecorder;

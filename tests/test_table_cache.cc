@@ -15,7 +15,6 @@ namespace {
 
 using arch::CoherenceMode;
 using cohesion::TableCache;
-using test::Rig;
 
 TEST(TableCache, DisabledByZeroEntries)
 {
@@ -83,9 +82,7 @@ touchAndTransition(runtime::Ctx ctx, mem::Addr a)
 
 TEST(TableCacheIntegration, DomainsFollowTransitions)
 {
-    Rig rig(CoherenceMode::Cohesion);
-    const_cast<arch::MachineConfig &>(rig.chip->config());
-    // Build a fresh rig with the cache enabled.
+    // A machine with the table cache enabled.
     arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
     cfg.mode = CoherenceMode::Cohesion;
     cfg.tableCacheEntries = 128;

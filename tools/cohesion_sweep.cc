@@ -158,31 +158,8 @@ writeResultsJson(std::ostream &os,
         const sim::JobResult &r = results[i];
         wall_total += r.wallSec;
         wall_max = std::max(wall_max, r.wallSec);
-        os << "    {\"label\": ";
-        sim::writeJsonString(os, r.label);
-        os << ", \"outcome\": ";
-        sim::writeJsonString(os, sim::jobOutcomeName(r.outcome));
-        if (r.ok()) {
-            os << ", \"cycles\": " << r.run.cycles
-               << ", \"events\": " << r.run.eventsRun
-               << ", \"instructions\": " << r.run.instructions
-               << ", \"msgs\": " << r.run.msgs.total()
-               << ", \"dir_evictions\": " << r.run.dirEvictions
-               << ", \"l2_misses\": " << r.run.l2Misses
-               << ", \"resp_p50\": " << r.run.respLatency.p50()
-               << ", \"resp_p95\": " << r.run.respLatency.p95()
-               << ", \"resp_p99\": " << r.run.respLatency.p99()
-               << ", \"seed\": " << r.run.seed;
-            if (r.run.faultSeed) {
-                os << ", \"faults_injected\": " << r.run.faultsInjected
-                   << ", \"faults_recovered\": " << r.run.faultsRecovered;
-            }
-        } else {
-            os << ", \"what\": ";
-            sim::writeJsonString(os, r.what);
-            os << ", \"log\": ";
-            sim::writeJsonString(os, r.log);
-        }
+        os << "    {";
+        harness::writeJobFields(os, r);
         os << ", \"host\": {\"wall_sec\": " << r.wallSec;
         if (r.ok() && !r.run.hostProfile.empty()) {
             double attr = r.run.hostProfile.attributedNs() / 1e9;
