@@ -142,7 +142,7 @@ Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
             // the last computed arrival tick. This used to happen
             // silently; surface it so fault campaigns can see how
             // often the bound actually engages.
-            _retryExhausted.fetch_add(1, std::memory_order_relaxed);
+            _retryExhausted.inc();
             rec(sim::FlightRecorder::Ev::RetransmitExhausted,
                 sim::FlightRecorder::compChip, mem::lineBase(req.addr),
                 req.msgId, static_cast<std::uint8_t>(req.type), drops);
@@ -152,10 +152,8 @@ Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
               _faults.fire(FaultSite::FabricC2BDup, cluster_id);
     }
     req.retries = static_cast<std::uint8_t>(drops);
-    if (drops) {
-        _reqRetries[static_cast<unsigned>(msgClassFor(req.type))].fetch_add(
-            drops, std::memory_order_relaxed);
-    }
+    if (drops)
+        _reqRetries[static_cast<unsigned>(msgClassFor(req.type))].inc(drops);
     nominal = _fabric.orderC2B(cluster_id, bank_id, nominal);
     routeRequest(cluster_id, bank_id, req, nominal, depart, drops);
     if (dup) {
@@ -215,7 +213,7 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
             backoff = std::min(backoff * 2, dropBackoffCap);
         }
         if (drops == maxDropRetransmits) {
-            _retryExhausted.fetch_add(1, std::memory_order_relaxed);
+            _retryExhausted.inc();
             rec(sim::FlightRecorder::Ev::RetransmitExhausted,
                 sim::FlightRecorder::compChip, mem::lineBase(resp.addr),
                 resp.msgId, static_cast<std::uint8_t>(resp.type), drops);
@@ -227,7 +225,7 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
     }
     resp.retries = static_cast<std::uint8_t>(drops);
     if (drops)
-        _respRetries.fetch_add(drops, std::memory_order_relaxed);
+        _respRetries.inc(drops);
     nominal = _fabric.orderB2C(bank_id, cluster_id, nominal);
     auto route = [this, cluster_id, resp, depart](sim::Tick at,
                                                   unsigned n_drops) {
@@ -246,7 +244,7 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
                             mem::lineBase(resp.addr), resp.msgId,
                             static_cast<std::uint8_t>(resp.type), n_drops);
                     }
-                    _respDelivered.fetch_add(1, std::memory_order_relaxed);
+                    _respDelivered.inc();
                     cluster(cluster_id).handleResponse(resp);
                 };
                 if (accept == eq().now())
@@ -490,21 +488,18 @@ Chip::faultPump()
 }
 
 void
-Chip::enableAudit(sim::Tick period)
+Chip::enableAudit()
 {
     // An auditor may already exist without a cadence (auditNow(), or a
     // snapshot restore carrying its counters); enabling then only sets
     // the period.
     if (_auditPeriod)
         return;
-    if (period == 0) {
-        // Cost-scaled default: a full pass walks every L2 and
-        // directory, so big machines audit less often.
-        period = std::max<sim::Tick>(4096, totalCores() * 256);
-    }
     if (!_auditor)
         _auditor = std::make_unique<coherence::Auditor>(*this);
-    _auditPeriod = period;
+    // Cost-scaled: a full pass walks every L2 and directory, so big
+    // machines audit less often.
+    _auditPeriod = std::max<sim::Tick>(4096, totalCores() * 256);
 }
 
 void
@@ -782,19 +777,12 @@ Chip::registerStats(sim::StatRegistry &reg) const
     reg.addHistogram("chip.latency.resp", respLatency());
     reg.addHistogram("chip.latency.probe", probeLatency());
     for (unsigned c = 0; c < numMsgClasses; ++c) {
-        _reqRetriesStat[c].reset();
-        _reqRetriesStat[c].inc(
-            _reqRetries[c].load(std::memory_order_relaxed));
         reg.addCounter(sim::cat("chip.retries.req.",
                                 msgClassName(static_cast<MsgClass>(c))),
-                       _reqRetriesStat[c]);
+                       _reqRetries[c]);
     }
-    _respRetriesStat.reset();
-    _respRetriesStat.inc(respRetries());
-    reg.addCounter("chip.retries.resp", _respRetriesStat);
-    _retryExhaustedStat.reset();
-    _retryExhaustedStat.inc(retriesExhausted());
-    reg.addCounter("chip.retries.exhausted", _retryExhaustedStat);
+    reg.addCounter("chip.retries.resp", _respRetries);
+    reg.addCounter("chip.retries.exhausted", _retryExhausted);
     reg.addScalar("chip.retries.wb_evicted", [this]() {
         double total = 0;
         for (const auto &cl : _clusters)
@@ -884,11 +872,11 @@ Chip::checkpointState(sim::Serializer &ser) const
         reqLatency(static_cast<MsgClass>(c)).checkpointState(ser);
     respLatency().checkpointState(ser);
     probeLatency().checkpointState(ser);
-    for (const auto &c : _reqRetries)
-        ser.u64(c.load(std::memory_order_relaxed));
-    ser.u64(respRetries());
-    ser.u64(retriesExhausted());
-    ser.u64(responsesDelivered());
+    for (const sim::Counter &c : _reqRetries)
+        c.checkpointState(ser);
+    _respRetries.checkpointState(ser);
+    _retryExhausted.checkpointState(ser);
+    _respDelivered.checkpointState(ser);
     // Retired slot: it held a trace-span id sequence, observer state
     // that DESIGN §12 keeps out of snapshots. Written as zero and
     // ignored on restore, so existing snapshots stay valid.
@@ -943,11 +931,11 @@ Chip::restoreState(sim::Deserializer &des)
         h.restoreState(des);
     _respLatency.restoreState(des);
     _probeLatency.restoreState(des);
-    for (auto &c : _reqRetries)
-        c.store(des.u64(), std::memory_order_relaxed);
-    _respRetries.store(des.u64(), std::memory_order_relaxed);
-    _retryExhausted.store(des.u64(), std::memory_order_relaxed);
-    _respDelivered.store(des.u64(), std::memory_order_relaxed);
+    for (sim::Counter &c : _reqRetries)
+        c.restoreState(des);
+    _respRetries.restoreState(des);
+    _retryExhausted.restoreState(des);
+    _respDelivered.restoreState(des);
     des.u64(); // retired slot, see checkpointState
     for (auto &s : _occupancy)
         s.restoreState(des);

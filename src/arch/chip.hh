@@ -13,13 +13,16 @@
  * canonical (tick, source, sequence) order; that order, the window
  * cadences and the staged flight-recorder merge together define the
  * schedule the committed goldens pin.
+ *
+ * A chip, and everything it allocates, belongs to the thread that
+ * builds and drives it (see harness/sweep.hh), so its counters, its
+ * backing store and its queued events are plain, unsynchronized state.
  */
 
 #ifndef COHESION_ARCH_CHIP_HH
 #define COHESION_ARCH_CHIP_HH
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -239,12 +242,12 @@ class Chip
     // --- Runtime auditing ------------------------------------------------
 
     /**
-     * Enable the coherence auditor: full invariant passes every
-     * @p period ticks while the run is live plus a final pass after
-     * quiescence. @p period 0 picks a cost-scaled default. Violations
-     * surface as coherence::AuditError out of runUntilQuiescent.
+     * Enable the coherence auditor: full invariant passes on a
+     * cost-scaled cadence while the run is live plus a final pass
+     * after quiescence. Violations surface as coherence::AuditError
+     * out of runUntilQuiescent.
      */
-    void enableAudit(sim::Tick period = 0);
+    void enableAudit();
 
     /** One full audit pass right now (throws coherence::AuditError). */
     void auditNow();
@@ -263,7 +266,7 @@ class Chip
     std::uint64_t
     responsesDelivered() const
     {
-        return _respDelivered.load(std::memory_order_relaxed);
+        return _respDelivered.value();
     }
 
     // --- Observability ---------------------------------------------------
@@ -371,14 +374,13 @@ class Chip
     std::uint64_t
     reqRetries(MsgClass cls) const
     {
-        return _reqRetries[static_cast<unsigned>(cls)].load(
-            std::memory_order_relaxed);
+        return _reqRetries[static_cast<unsigned>(cls)].value();
     }
 
     std::uint64_t
     respRetries() const
     {
-        return _respRetries.load(std::memory_order_relaxed);
+        return _respRetries.value();
     }
 
     /** Register every chip-level stat under "chip." in @p reg. */
@@ -522,7 +524,7 @@ class Chip
     std::vector<std::unique_ptr<L3Bank>> _banks;
     std::unique_ptr<coherence::Auditor> _auditor;
     sim::Tick _auditPeriod = 0;
-    std::atomic<std::uint64_t> _respDelivered{0};
+    sim::Counter _respDelivered;
 
     ProgressFn _progressFn;
     double _progressIntervalSec = 0.25;
@@ -544,9 +546,6 @@ class Chip
     /** Stage-blame aggregation; deliberately not checkpointed —
      *  aggregates restart at restore (§15). */
     sim::LatencyAccountant _latAcc;
-    mutable std::array<sim::Counter, numMsgClasses> _reqRetriesStat;
-    mutable sim::Counter _respRetriesStat, _retryExhaustedStat,
-        _respDeliveredStat;
 
     sim::FlightRecorder _recorder;
     std::vector<sim::FlightRecorder::Record> _recStage;
@@ -556,9 +555,9 @@ class Chip
     sim::TraceJsonWriter *_json = nullptr;
     bool _recAny = false;  ///< any observer of the record stream on
     bool _recSlow = false; ///< an observer beyond the ring on
-    std::array<std::atomic<std::uint64_t>, numMsgClasses> _reqRetries{};
-    std::atomic<std::uint64_t> _respRetries{0};
-    std::atomic<std::uint64_t> _retryExhausted{0};
+    std::array<sim::Counter, numMsgClasses> _reqRetries;
+    sim::Counter _respRetries;
+    sim::Counter _retryExhausted;
 
   public:
     /** Messages force-delivered after the drop-retransmit budget was
@@ -566,7 +565,7 @@ class Chip
     std::uint64_t
     retriesExhausted() const
     {
-        return _retryExhausted.load(std::memory_order_relaxed);
+        return _retryExhausted.value();
     }
 
     /**

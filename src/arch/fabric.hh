@@ -22,7 +22,6 @@
 #define COHESION_ARCH_FABRIC_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,7 +62,7 @@ class Fabric
         sim::Tick start = std::max(depart, _clusterUp[cluster]);
         sim::Tick ser = serialization(bytes);
         _clusterUp[cluster] = start + ser;
-        _bytesUp.fetch_add(bytes, std::memory_order_relaxed);
+        _bytesUp.inc(bytes);
         return start + ser + _latency;
     }
 
@@ -89,7 +88,7 @@ class Fabric
         sim::Tick start = std::max(depart, _bankOut[bank]);
         sim::Tick ser = serialization(bytes);
         _bankOut[bank] = start + ser;
-        _bytesDown.fetch_add(bytes, std::memory_order_relaxed);
+        _bytesDown.inc(bytes);
         return start + ser + _latency;
     }
 
@@ -135,17 +134,8 @@ class Fabric
         return arrive;
     }
 
-    std::uint64_t
-    bytesUp() const
-    {
-        return _bytesUp.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    bytesDown() const
-    {
-        return _bytesDown.load(std::memory_order_relaxed);
-    }
+    std::uint64_t bytesUp() const { return _bytesUp.value(); }
+    std::uint64_t bytesDown() const { return _bytesDown.value(); }
 
     /** Depart-to-accept delay (serialization + hops + contention). */
     const sim::Histogram &delayUp() const { return _delayUp; }
@@ -154,12 +144,8 @@ class Fabric
     void
     registerStats(sim::StatRegistry &reg, const std::string &prefix) const
     {
-        _bytesUpStat.reset();
-        _bytesUpStat.inc(bytesUp());
-        _bytesDownStat.reset();
-        _bytesDownStat.inc(bytesDown());
-        reg.addCounter(prefix + ".bytes_up", _bytesUpStat);
-        reg.addCounter(prefix + ".bytes_down", _bytesDownStat);
+        reg.addCounter(prefix + ".bytes_up", _bytesUp);
+        reg.addCounter(prefix + ".bytes_down", _bytesDown);
         reg.addHistogram(prefix + ".delay_up", delayUp());
         reg.addHistogram(prefix + ".delay_down", delayDown());
     }
@@ -181,8 +167,8 @@ class Fabric
         vec(_bankOut);
         vec(_c2bFloor);
         vec(_b2cFloor);
-        ser.u64(bytesUp());
-        ser.u64(bytesDown());
+        _bytesUp.checkpointState(ser);
+        _bytesDown.checkpointState(ser);
         _delayUp.checkpointState(ser);
         _delayDown.checkpointState(ser);
     }
@@ -203,8 +189,8 @@ class Fabric
         vec(_bankOut);
         vec(_c2bFloor);
         vec(_b2cFloor);
-        _bytesUp.store(des.u64(), std::memory_order_relaxed);
-        _bytesDown.store(des.u64(), std::memory_order_relaxed);
+        _bytesUp.restoreState(des);
+        _bytesDown.restoreState(des);
         _delayUp.restoreState(des);
         _delayDown.restoreState(des);
     }
@@ -225,9 +211,8 @@ class Fabric
     std::vector<sim::Tick> _bankOut;
     std::vector<sim::Tick> _c2bFloor;
     std::vector<sim::Tick> _b2cFloor;
-    std::atomic<std::uint64_t> _bytesUp{0}, _bytesDown{0};
+    sim::Counter _bytesUp, _bytesDown;
     sim::Histogram _delayUp, _delayDown;
-    mutable sim::Counter _bytesUpStat, _bytesDownStat;
 };
 
 } // namespace arch

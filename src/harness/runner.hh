@@ -123,8 +123,6 @@ struct RunOptions
     std::ostream *statsJson = nullptr;
     /** Run the coherence auditor (periodic passes + one final pass). */
     bool audit = true;
-    /** Audit cadence in ticks (0: cost-scaled default). */
-    sim::Tick auditPeriod = 0;
     /** Flight-recorder ring capacity in records (0 disables). The
      *  recorder is on by default so every failure has a post-mortem. */
     std::uint32_t recorderCapacity = 1u << 14;
@@ -142,9 +140,6 @@ struct RunOptions
      *  statsJson. Strictly observer — simulated results are identical
      *  with it on or off. */
     bool hostProfile = false;
-    /** Sampled-phase timing stride for the self-profiler: time one in
-     *  2^shift occurrences (0 = time every one; tests use that). */
-    unsigned hostSampleShift = sim::HostProfiler::defaultSampleShift;
     /** Live-progress heartbeat, invoked with (tick, events run) every
      *  ~0.25 s of host time while the machine runs (null: off). */
     arch::Chip::ProgressFn progress;

@@ -109,7 +109,7 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     };
     sim::HostProfiler::Profile prof0;
     if (opts.hostProfile) {
-        sim::HostProfiler::enable(opts.hostSampleShift);
+        sim::HostProfiler::enable();
         // The run's profile is this thread's accumulation delta, so
         // concurrent sweep jobs on sibling workers don't bleed in.
         prof0 = sim::HostProfiler::threadSnapshot();
@@ -120,7 +120,7 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     runtime::CohesionRuntime &rt = *_rt;
 
     if (opts.audit)
-        chip.enableAudit(opts.auditPeriod);
+        chip.enableAudit();
     // Later runs of a session (and restored sessions) keep the live
     // ring rolling: re-enabling would clear it and fork the behavior
     // of an uninterrupted session from a restored one.

@@ -101,40 +101,6 @@ SweepEngine::runOne(const SweepJob &job, JobTelemetry *telemetry)
     return r;
 }
 
-namespace {
-
-/** One worker's job queue. Owner pops the front; thieves take the
- *  back, so a victim's locality (and the deal order) is preserved. */
-struct WorkDeque
-{
-    std::mutex m;
-    std::deque<std::size_t> q;
-
-    bool
-    popFront(std::size_t *idx)
-    {
-        std::lock_guard<std::mutex> g(m);
-        if (q.empty())
-            return false;
-        *idx = q.front();
-        q.pop_front();
-        return true;
-    }
-
-    bool
-    popBack(std::size_t *idx)
-    {
-        std::lock_guard<std::mutex> g(m);
-        if (q.empty())
-            return false;
-        *idx = q.back();
-        q.pop_back();
-        return true;
-    }
-};
-
-} // namespace
-
 std::vector<JobResult>
 SweepEngine::run(const std::vector<SweepJob> &jobs) const
 {
@@ -249,50 +215,25 @@ SweepEngine::run(const std::vector<SweepJob> &jobs,
         });
     }
 
-    if (workers <= 1) {
-        // The bit-exact serial reference (--jobs 1).
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (stopping())
-                break;
-            execJob(i);
+    // One shared cursor: a worker claims the next unstarted job until
+    // none is left or a stop is requested. Results are indexed by
+    // submission order, so which worker ran a job never shows.
+    std::atomic<std::size_t> cursor{0};
+    auto worker = [&]() {
+        while (!stopping()) {
+            std::size_t idx = cursor.fetch_add(1, std::memory_order_relaxed);
+            if (idx >= jobs.size())
+                return;
+            execJob(idx);
         }
+    };
+    if (workers <= 1) {
+        worker(); // inline: the bit-exact serial reference (--jobs 1)
     } else {
-        // Deal jobs round-robin so every worker starts with a spread
-        // of the submission order (adjacent jobs are often similar
-        // cost).
-        std::vector<WorkDeque> deques(workers);
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            deques[i % workers].q.push_back(i);
-
-        std::atomic<std::size_t> remaining{jobs.size()};
-
-        auto workerFn = [&](unsigned self) {
-            for (;;) {
-                if (stopping())
-                    return; // finish nothing new; in-flight work done
-                std::size_t idx;
-                bool have = deques[self].popFront(&idx);
-                for (unsigned v = 1; !have && v < workers; ++v)
-                    have = deques[(self + v) % workers].popBack(&idx);
-                if (!have) {
-                    if (remaining.load(std::memory_order_acquire) == 0)
-                        return;
-                    // Queues are dry but a sibling is still running
-                    // its last job; it cannot spawn more, so just
-                    // wait it out.
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-                    continue;
-                }
-                execJob(idx);
-                remaining.fetch_sub(1, std::memory_order_acq_rel);
-            }
-        };
-
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(workerFn, w);
+            pool.emplace_back(worker);
         for (std::thread &t : pool)
             t.join();
     }

@@ -6,15 +6,20 @@
  * directory-size sweep, the SWcc/HWcc ablations, the fault campaign)
  * is a *family* of independent simulations over kernels x machine
  * configs x directory geometries x seeds x fault plans. SweepEngine
- * runs such a family on a work-stealing std::thread pool, one fully
- * isolated Machine per job:
+ * runs such a family on a pool of std::threads that claim jobs from
+ * one shared cursor, one fully isolated Machine per job:
  *
- *  - a job owns its Chip, runtime, kernel and StatRegistry; nothing
- *    mutable is shared between concurrent jobs (the event capture
- *    pool is thread-local, log output and protocol narration are
- *    captured per job via sim::LogCapture, and every Rng is seeded
- *    from the job's own config), so results are byte-identical for
- *    any --jobs value;
+ *  - one thread owns each machine: a job's body builds, runs and
+ *    destroys its Chip, runtime, kernel and StatRegistry on the worker
+ *    that claimed it, and everything the machine allocates (event
+ *    capture nodes, backing-store pages, counters, the job's
+ *    sim::LogCapture and host-profiler accumulator) stays on that
+ *    thread. Every Rng is seeded from the job's own config, so results
+ *    are byte-identical for any --jobs value;
+ *  - threads share only what the engine hands between them: the job
+ *    cursor, the JobTelemetry slots the monitor reads, the stop flags,
+ *    the onJobDone hook (serialized under a mutex), the warm-up
+ *    snapshot cache, and the host profiler's on/off switch;
  *  - results come back in job-submission order regardless of which
  *    worker ran what, so table-printing call sites stay simple;
  *  - a job that throws is classified (audit / deadlock / panic /
@@ -100,15 +105,6 @@ struct JobResult
     bool ok() const { return outcome == JobOutcome::Ok; }
 };
 
-/**
- * Work-stealing thread pool over isolated simulation jobs.
- *
- * Jobs are dealt round-robin onto per-worker deques; a worker drains
- * its own deque LIFO-from-front and steals from the back of a victim's
- * when empty, which keeps long tails (one slow directory point) from
- * idling the pool. The result vector is indexed by submission order,
- * so scheduling never changes what the caller observes.
- */
 /** Campaign-level live telemetry controls (SweepEngine::run). */
 struct SweepProgress
 {
@@ -137,6 +133,13 @@ struct SweepProgress
     std::function<void(std::size_t, const JobResult &)> onJobDone;
 };
 
+/**
+ * Thread pool over isolated simulation jobs. Each worker claims the
+ * next unstarted job from one shared cursor, so a long job (one slow
+ * directory point) never holds up the ones behind it. The result
+ * vector is indexed by submission order, so scheduling never changes
+ * what the caller observes.
+ */
 class SweepEngine
 {
   public:

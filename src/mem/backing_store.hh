@@ -9,7 +9,6 @@
 #ifndef COHESION_MEM_BACKING_STORE_HH
 #define COHESION_MEM_BACKING_STORE_HH
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -23,10 +22,9 @@ namespace mem {
 /**
  * Sparse page-granular byte store over the 32-bit space.
  *
- * Thread model: a chip touches its store only from the thread that
- * drives it. The page table is a fixed array of atomic pointers whose
- * lazy materialization is published with a CAS, so a page lookup stays
- * safe even if several threads fault in the same 64 KB page.
+ * The page table is a fixed array of owned 64 KB pages, each allocated
+ * on its first write. Like everything a chip allocates, the store is
+ * touched only by the thread that drives the chip.
  */
 class BackingStore
 {
@@ -37,8 +35,6 @@ class BackingStore
                                             << (32 - pageShift);
 
     BackingStore() : _pages(numPages) {}
-
-    ~BackingStore() { releaseAll(); }
 
     BackingStore(const BackingStore &) = delete;
     BackingStore &operator=(const BackingStore &) = delete;
@@ -94,11 +90,7 @@ class BackingStore
     }
 
     /** Number of pages materialized (footprint diagnostics). */
-    std::size_t
-    pagesAllocated() const
-    {
-        return _allocated.load(std::memory_order_relaxed);
-    }
+    std::size_t pagesAllocated() const { return _allocated; }
 
     /** Checkpoint hooks. Pages are written in ascending page-number
      *  order so snapshots of identical memory images are byte-identical
@@ -109,12 +101,10 @@ class BackingStore
         ser.tag("store");
         ser.u64(pagesAllocated());
         for (std::size_t page = 0; page < numPages; ++page) {
-            const std::uint8_t *p =
-                _pages[page].load(std::memory_order_acquire);
-            if (!p)
+            if (!_pages[page])
                 continue;
             ser.u32(static_cast<std::uint32_t>(page));
-            ser.bytes(p, pageBytes);
+            ser.bytes(_pages[page].get(), pageBytes);
         }
     }
 
@@ -122,15 +112,16 @@ class BackingStore
     restoreState(sim::Deserializer &des)
     {
         des.tag("store");
-        releaseAll();
+        for (auto &p : _pages)
+            p.reset();
+        _allocated = 0;
         std::uint64_t n = des.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
             std::uint32_t page = des.u32();
-            auto *p = new std::uint8_t[pageBytes];
-            des.bytes(p, pageBytes);
-            _pages[page].store(p, std::memory_order_release);
+            _pages[page].reset(new std::uint8_t[pageBytes]);
+            des.bytes(_pages[page].get(), pageBytes);
         }
-        _allocated.store(n, std::memory_order_relaxed);
+        _allocated = n;
     }
 
   private:
@@ -144,8 +135,7 @@ class BackingStore
     const std::uint8_t *
     peek(Addr a) const
     {
-        const std::uint8_t *p =
-            _pages[a >> pageShift].load(std::memory_order_acquire);
+        const std::uint8_t *p = _pages[a >> pageShift].get();
         if (!p)
             return nullptr;
         return p + (a & (pageBytes - 1));
@@ -154,33 +144,16 @@ class BackingStore
     std::uint8_t *
     poke(Addr a)
     {
-        auto &slot = _pages[a >> pageShift];
-        std::uint8_t *p = slot.load(std::memory_order_acquire);
-        if (!p) {
-            auto *fresh = new std::uint8_t[pageBytes]();
-            if (slot.compare_exchange_strong(p, fresh,
-                                             std::memory_order_acq_rel)) {
-                p = fresh;
-                _allocated.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                delete[] fresh; // another thread published first
-            }
+        auto &page = _pages[a >> pageShift];
+        if (!page) {
+            page = std::make_unique<std::uint8_t[]>(pageBytes); // zeroed
+            ++_allocated;
         }
-        return p + (a & (pageBytes - 1));
+        return page.get() + (a & (pageBytes - 1));
     }
 
-    void
-    releaseAll()
-    {
-        for (auto &slot : _pages) {
-            delete[] slot.load(std::memory_order_relaxed);
-            slot.store(nullptr, std::memory_order_relaxed);
-        }
-        _allocated.store(0, std::memory_order_relaxed);
-    }
-
-    std::vector<std::atomic<std::uint8_t *>> _pages;
-    std::atomic<std::size_t> _allocated{0};
+    std::vector<std::unique_ptr<std::uint8_t[]>> _pages;
+    std::size_t _allocated = 0;
 };
 
 } // namespace mem

@@ -7,13 +7,12 @@
  * recycled nodes — so the steady-state schedule->fire cycle performs
  * no heap allocations in either case.
  *
- * Each thread carves nodes from its own slab pool, but a node may be
- * freed from any thread: an event built on one thread may be fired or
- * destroyed on another. Foreign frees are pushed
- * onto the owning pool's lock-free return stack and reclaimed by the
- * owner before it carves a new slab; a pool whose thread has exited is
- * kept alive until its last outstanding node comes home (see
- * event_queue.cc).
+ * Thread rule: an event is destroyed on the thread that built it. The
+ * nodes come from a thread-local pool (one free list per size class,
+ * no per-node header; its slabs are freed when the thread exits), so
+ * the rule is what makes a free safe. It holds because a machine, its
+ * queue and every event in it live and die on the thread that runs
+ * their job (see harness/sweep.hh).
  */
 
 #ifndef COHESION_SIM_EVENT_HH
@@ -29,7 +28,8 @@ namespace sim {
 namespace detail {
 
 /** Pooled allocation for event captures larger than the inline buffer.
- *  @p size must be the same in both calls for a given node. */
+ *  @p size must be the same in both calls for a given node, and both
+ *  calls must run on the same thread. */
 void *eventAlloc(std::size_t size);
 void eventFree(void *p, std::size_t size) noexcept;
 

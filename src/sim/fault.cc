@@ -141,8 +141,7 @@ FaultInjector::configure(const FaultPlan &plan, unsigned clusters,
             _lanes[i].push_back(std::move(l));
         }
     }
-    for (auto &v : _recovered)
-        v.store(0, std::memory_order_relaxed);
+    _recovered.fill(0);
     _pumpRng = Rng(deriveSeed(_seed, "pump"));
 }
 

@@ -31,7 +31,6 @@
 #define COHESION_SIM_FAULT_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -202,8 +201,7 @@ class FaultInjector
     void
     countRecovered(FaultSite s)
     {
-        _recovered[static_cast<unsigned>(s)].fetch_add(
-            1, std::memory_order_relaxed);
+        ++_recovered[static_cast<unsigned>(s)];
     }
 
     /** Total injections at @p s, summed over lanes. Quiescent-only. */
@@ -219,8 +217,7 @@ class FaultInjector
     std::uint64_t
     recovered(FaultSite s) const
     {
-        return _recovered[static_cast<unsigned>(s)].load(
-            std::memory_order_relaxed);
+        return _recovered[static_cast<unsigned>(s)];
     }
 
     std::uint64_t totalInjected() const;
@@ -251,8 +248,8 @@ class FaultInjector
                 ser.u64(l.injected);
             }
         }
-        for (const auto &v : _recovered)
-            ser.u64(v.load(std::memory_order_relaxed));
+        for (std::uint64_t v : _recovered)
+            ser.u64(v);
         for (std::uint64_t w : _pumpRng.rawState())
             ser.u64(w);
     }
@@ -281,8 +278,8 @@ class FaultInjector
                 l.injected = des.u64();
             }
         }
-        for (auto &v : _recovered)
-            v.store(des.u64(), std::memory_order_relaxed);
+        for (std::uint64_t &v : _recovered)
+            v = des.u64();
         std::array<std::uint64_t, 4> s;
         for (std::uint64_t &w : s)
             w = des.u64();
@@ -312,7 +309,7 @@ class FaultInjector
     std::uint64_t _seed = 0;
     FaultPlan _plan;
     std::array<std::vector<Lane>, numFaultSites> _lanes;
-    std::array<std::atomic<std::uint64_t>, numFaultSites> _recovered{};
+    std::array<std::uint64_t, numFaultSites> _recovered{};
     Rng _pumpRng;
 };
 

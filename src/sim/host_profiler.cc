@@ -1,47 +1,10 @@
 #include "sim/host_profiler.hh"
 
-#include <memory>
-#include <mutex>
-#include <vector>
-
 namespace sim {
 
 std::atomic<bool> HostProfiler::_on{false};
 std::atomic<unsigned> HostProfiler::_sampleShift{
     HostProfiler::defaultSampleShift};
-thread_local HostProfiler::ThreadAcc *HostProfiler::_tlAcc = nullptr;
-
-namespace {
-
-struct AccRegistry
-{
-    std::mutex mu;
-    std::vector<std::unique_ptr<HostProfiler::ThreadAcc>> accs;
-};
-
-AccRegistry &
-registry()
-{
-    // Leaked intentionally: thread-exit order vs static destruction
-    // order is unknowable, and the registry must outlive both.
-    static AccRegistry *r = new AccRegistry;
-    return *r;
-}
-
-} // namespace
-
-HostProfiler::ThreadAcc &
-HostProfiler::threadAcc()
-{
-    if (!_tlAcc) {
-        auto acc = std::make_unique<ThreadAcc>();
-        _tlAcc = acc.get();
-        AccRegistry &r = registry();
-        std::lock_guard<std::mutex> g(r.mu);
-        r.accs.push_back(std::move(acc));
-    }
-    return *_tlAcc;
-}
 
 void
 HostProfiler::enable(unsigned sample_shift)
@@ -60,29 +23,7 @@ HostProfiler::disable()
 void
 HostProfiler::reset()
 {
-    AccRegistry &r = registry();
-    std::lock_guard<std::mutex> g(r.mu);
-    for (auto &acc : r.accs) {
-        acc->phases.fill(PhaseAcc{});
-        acc->stride.fill(0);
-    }
-}
-
-HostProfiler::Profile
-HostProfiler::processSnapshot()
-{
-    Profile p;
-    p.sampleShift = sampleShift();
-    AccRegistry &r = registry();
-    std::lock_guard<std::mutex> g(r.mu);
-    for (const auto &acc : r.accs) {
-        for (unsigned i = 0; i < numPhases; ++i) {
-            p.phases[i].count += acc->phases[i].count;
-            p.phases[i].timedCount += acc->phases[i].timedCount;
-            p.phases[i].timedNs += acc->phases[i].timedNs;
-        }
-    }
-    return p;
+    threadAcc() = ThreadAcc{};
 }
 
 HostProfiler::Profile
@@ -90,12 +31,7 @@ HostProfiler::threadSnapshot()
 {
     Profile p;
     p.sampleShift = sampleShift();
-    // A thread that never profiled owns no accumulator: nothing to
-    // report, and registering one just to read zeros would be waste.
-    if (!_tlAcc)
-        return p;
-    std::lock_guard<std::mutex> g(registry().mu);
-    p.phases = _tlAcc->phases;
+    p.phases = threadAcc().phases;
     return p;
 }
 

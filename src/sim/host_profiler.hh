@@ -21,10 +21,10 @@
  *    <=2% events/sec budget; they count every entry but time only one
  *    in 2^sampleShift, reporting the scaled estimate
  *    `timedNs * count / timedCount`;
- *  - thread-local accumulation: each thread owns its accumulator (the
- *    registry keeps it alive past thread exit), so SweepEngine workers
- *    profile concurrently without sharing a cache line; snapshots
- *    merge across threads on demand;
+ *  - thread-local accumulation: each thread owns one accumulator and
+ *    reads only its own (threadSnapshot), so SweepEngine workers
+ *    profile concurrently without sharing a cache line; a campaign
+ *    total is the merge of the Profiles its jobs return;
  *  - strictly observer: a Scope never touches simulation state, so a
  *    profiled run is bit-identical to an unprofiled one. Everything
  *    exported from here lives under the `host.*` stat subtree, which
@@ -116,7 +116,7 @@ class HostProfiler
     }
     static constexpr unsigned defaultSampleShift = 7;
 
-    /** Zero every thread's accumulator (threads stay registered). */
+    /** Zero the calling thread's accumulator. */
     static void reset();
 
     // --- Accumulated data -----------------------------------------------
@@ -131,7 +131,7 @@ class HostProfiler
         std::uint64_t timedNs = 0;    ///< nanoseconds in timed entries
     };
 
-    /** A merged snapshot (copyable, thread-independent). */
+    /** A snapshot (copyable, thread-independent). */
     struct Profile
     {
         std::array<PhaseAcc, numPhases> phases{};
@@ -171,9 +171,6 @@ class HostProfiler
         }
     };
 
-    /** Merge every registered thread's accumulator. */
-    static Profile processSnapshot();
-
     /**
      * This thread's accumulation. Pair two calls around a region (e.g.
      * one sweep job) and subtract with Profile::since to get a per-job
@@ -211,10 +208,7 @@ class HostProfiler
         {
             if (p == Phase::None || !enabled())
                 return;
-            ThreadAcc *t = _tlAcc;
-            if (!t)
-                t = &threadAcc();
-            _acc = &t->phases[static_cast<unsigned>(p)];
+            _acc = &threadAcc().phases[static_cast<unsigned>(p)];
             _prevPhase = tlPhase();
             tlPhase() = p;
             _restorePhase = true;
@@ -241,7 +235,7 @@ class HostProfiler
             const clock::time_point now = clock::now();
             _acc->timedNs += static_cast<std::uint64_t>((now - _t0).count());
             ++_acc->timedCount;
-            _acc = &_tlAcc->phases[static_cast<unsigned>(p)];
+            _acc = &threadAcc().phases[static_cast<unsigned>(p)];
             ++_acc->count;
             _t0 = now;
         }
@@ -277,14 +271,12 @@ class HostProfiler
         void
         open(Phase p)
         {
-            ThreadAcc *t = _tlAcc;
-            if (!t)
-                t = &threadAcc(); // outlined: registers this thread
+            ThreadAcc &t = threadAcc();
             unsigned idx = static_cast<unsigned>(p);
-            PhaseAcc &acc = t->phases[idx];
+            PhaseAcc &acc = t.phases[idx];
             ++acc.count;
             if (phaseSampled(p)) {
-                if ((t->stride[idx]++ & ((1u << sampleShift()) - 1)) != 0)
+                if ((t.stride[idx]++ & ((1u << sampleShift()) - 1)) != 0)
                     return; // count-only entry; close() is a no-op
                 // Timed entry: the thread-phase marker makes coroutine
                 // continuations of *this* entry re-open the phase (see
@@ -320,26 +312,28 @@ class HostProfiler
      */
     static Phase resumePhase() { return tlPhase(); }
 
-    /** One thread's accumulators plus its per-phase sampling strides.
-     *  Implementation detail (public so Scope::open can inline and the
-     *  registry in the .cc can own instances); not part of the API.
-     *  The registry outlives the threads themselves, so a SweepEngine
-     *  worker's contribution is still visible in processSnapshot()
-     *  after its pool was torn down. */
+  private:
+    /** One thread's accumulators plus its per-phase sampling strides. */
     struct ThreadAcc
     {
         std::array<PhaseAcc, numPhases> phases{};
         std::array<std::uint32_t, numPhases> stride{};
     };
 
-  private:
-    static ThreadAcc &threadAcc();
+    /** The calling thread's accumulator. A function-local thread_local
+     *  like tlPhase(): constant-initialized, so a Scope reaches it with
+     *  no registration or first-use check. */
+    static ThreadAcc &
+    threadAcc()
+    {
+        static thread_local ThreadAcc acc;
+        return acc;
+    }
 
     static std::atomic<bool> _on;
     /** Atomic: concurrent sweep jobs may each enable() the profiler
-     *  (last writer wins; they pass the same shift in practice). */
+     *  (last writer wins; every run passes the default shift). */
     static std::atomic<unsigned> _sampleShift;
-    static thread_local ThreadAcc *_tlAcc;
 
     /** The sampled phase a timed entry has open on this thread (see
      *  resumePhase). A function-local thread_local: every translation

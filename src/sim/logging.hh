@@ -10,12 +10,13 @@
  * lines); a sweep job installs a LogCapture so everything the machine
  * prints — including the message of the panic/fatal that killed it —
  * lands in a private per-job buffer instead of the shared console.
+ * A capture belongs to the thread that installed it: only that thread
+ * writes it, and only that thread reads it back.
  */
 
 #ifndef COHESION_SIM_LOGGING_HH
 #define COHESION_SIM_LOGGING_HH
 
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -63,34 +64,15 @@ class LogCapture
     LogCapture &operator=(const LogCapture &) = delete;
 
     /** Everything captured so far (owned by the capture). */
-    std::string
-    text() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return _buf.str();
-    }
+    std::string text() const { return _buf.str(); }
 
     /** True if any output was captured. */
-    bool
-    empty() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return _buf.str().empty();
-    }
+    bool empty() const { return _buf.str().empty(); }
 
-    /** Internal: sink hook used by the logging implementation. The
-     *  mutex keeps append() and text() safe if another thread reads a
-     *  capture while its owner writes; it is uncontended in practice
-     *  and append is cold anyway. */
-    void
-    append(const std::string &line)
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        _buf << line;
-    }
+    /** Internal: sink hook used by the logging implementation. */
+    void append(const std::string &line) { _buf << line; }
 
   private:
-    mutable std::mutex _mu;
     std::ostringstream _buf;
     LogCapture *_prev; ///< Enclosing capture on this thread, if any.
 };

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -180,6 +184,60 @@ TEST(EventQueue, RunOneExecutesExactlyOne)
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 3u);
     EXPECT_EQ(eq.pending(), 1u);
+}
+
+// Captures larger than Event::inlineCapacity live in nodes of the
+// calling thread's pool, which the thread builds, fires and destroys.
+
+/** Counts the destructions of instances that still own their count
+ *  (a moved-from instance does not). */
+struct DestroyCounter
+{
+    int *count;
+
+    explicit DestroyCounter(int *c) : count(c) {}
+    DestroyCounter(DestroyCounter &&o) noexcept
+        : count(std::exchange(o.count, nullptr))
+    {}
+    ~DestroyCounter()
+    {
+        if (count)
+            ++*count;
+    }
+};
+
+TEST(EventPool, PooledCapturesAreDestroyedOnceAndRecycled)
+{
+    sim::EventQueue eq;
+    int destroyed = 0;
+    std::vector<const void *> nodes; // capture address, in firing order
+    auto fat = [&](int i) {
+        std::array<std::uint64_t, 8> pad{};
+        pad[0] = static_cast<std::uint64_t>(i);
+        return [pad, c = DestroyCounter(&destroyed), &nodes] {
+            nodes.push_back(&pad);
+        };
+    };
+    static_assert(sizeof(decltype(fat(0))) > sim::Event::inlineCapacity,
+                  "the capture must take the pooled path");
+
+    constexpr int n = 300;
+    for (int i = 0; i < n; ++i)
+        eq.schedule(1 + i % 7, fat(i));
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(destroyed, n);
+    ASSERT_EQ(nodes.size(), std::size_t(n));
+    // All n were live at once: each had a node of its own.
+    std::vector<const void *> sorted = nodes;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+
+    // The node freed last is the next one handed out in its class.
+    const void *lastFreed = nodes.back();
+    eq.scheduleIn(1, fat(n));
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(destroyed, n + 1);
+    EXPECT_EQ(nodes.back(), lastFreed);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /** @file
  * Host-side self-profiler unit tests: the disabled path is a no-op,
  * scopes nest inclusively, sampled phases scale their estimate by the
- * stride, per-thread accumulators merge across SweepEngine workers,
- * the --host-profile JSON report is well-formed, and the live
+ * stride, each SweepEngine job profiles its own thread, the
+ * --host-profile JSON report is well-formed, and the live
  * progress streams (run heartbeats, sweep heartbeats) emit parseable,
  * monotone JSON lines.
  */
@@ -12,7 +12,6 @@
 #include <chrono>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/hostprof.hh"
@@ -166,29 +165,6 @@ TEST(HostProfiler, SinceSubtractsAndSaturates)
         before.since(HostProfiler::threadSnapshot());
     EXPECT_EQ(neg[Phase::Audit].count, 0u);
     EXPECT_EQ(neg[Phase::Audit].timedNs, 0u);
-}
-
-TEST(HostProfiler, MergesAcrossThreads)
-{
-    ProfilerGuard guard(/*shift=*/0);
-    HostProfiler::Profile base = HostProfiler::processSnapshot();
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 3; ++t) {
-        threads.emplace_back([] {
-            for (int i = 0; i < 5; ++i) {
-                HostProfiler::Scope s(Phase::Directory);
-                burn();
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    // The registry keeps per-thread accumulators alive past thread
-    // exit, so the snapshot sees all 15 scopes.
-    HostProfiler::Profile p =
-        HostProfiler::processSnapshot().since(base);
-    EXPECT_EQ(p[Phase::Directory].count, 15u);
-    EXPECT_GT(p.estNs(Phase::Directory), 0u);
 }
 
 TEST(HostProfiler, SweepJobsProfileIndependently)
