@@ -813,19 +813,18 @@ Chip::registerStats(sim::StatRegistry &reg) const
 }
 
 void
-Chip::checkpointState(sim::Serializer &ser) const
+Chip::snapshot(sim::Archive &ar)
 {
-    ser.tag("chip");
+    ar.tag("chip");
     // Structural quiescence: every component hook below also asserts
     // its own slice, but check the machine-level conditions up front
     // so the failure names the real problem instead of a section tag.
-    const_cast<Chip *>(this)->drainRecStage();
+    // A freshly built machine passes them, so a restore runs them too.
+    drainRecStage();
     if (!_router.empty()) {
         throw sim::SnapshotError(
             "checkpoint with routed messages in flight");
     }
-    if (!_eq.empty())
-        throw sim::SnapshotError("checkpoint with events pending");
     for (const auto &b : _banks) {
         // Finished coroutine frames linger in the running list until
         // the next request arrives; they are not in-flight work.
@@ -845,107 +844,52 @@ Chip::checkpointState(sim::Serializer &ser) const
     // Geometry fingerprint: a snapshot only restores into a machine
     // built from the same topology (cache shapes are re-validated
     // per-array by their own hooks).
-    ser.u32(_config.numClusters);
-    ser.u32(_config.coresPerCluster);
-    ser.u32(_config.numL3Banks);
-    ser.u32(_config.numChannels);
-    ser.u8(static_cast<std::uint8_t>(_config.mode));
+    ar.expect(_config.numClusters, "cluster count");
+    ar.expect(_config.coresPerCluster, "cores per cluster");
+    ar.expect(_config.numL3Banks, "bank count");
+    ar.expect(_config.numChannels, "channel count");
+    ar.expect(_config.mode, "coherence mode");
 
-    // Queue record: (now, eventsRun, nextSeq). The sequence origin
-    // keeps post-restore same-tick tie-breaks identical.
-    ser.u64(_eq.now());
-    ser.u64(_eq.eventsRun());
-    ser.u64(_eq.nextSeq());
+    // The queue's (now, eventsRun, nextSeq) record; the sequence
+    // origin keeps post-restore same-tick tie-breaks identical.
+    ar(_eq);
 
-    _store.checkpointState(ser);
-    _dram.checkpointState(ser);
-    _fabric.checkpointState(ser);
-    _faults.checkpointState(ser);
-    _coarseTable.checkpointState(ser);
-    for (const auto &cl : _clusters)
-        cl->checkpointState(ser);
-    for (const auto &b : _banks)
-        b->checkpointState(ser);
+    ar(_store);
+    ar(_dram);
+    ar(_fabric);
+    ar(_faults);
+    ar(_coarseTable);
+    for (auto &cl : _clusters)
+        ar(*cl);
+    for (auto &b : _banks)
+        ar(*b);
 
-    ser.tag("chip-stats");
-    for (unsigned c = 0; c < numMsgClasses; ++c)
-        reqLatency(static_cast<MsgClass>(c)).checkpointState(ser);
-    respLatency().checkpointState(ser);
-    probeLatency().checkpointState(ser);
-    for (const sim::Counter &c : _reqRetries)
-        c.checkpointState(ser);
-    _respRetries.checkpointState(ser);
-    _retryExhausted.checkpointState(ser);
-    _respDelivered.checkpointState(ser);
+    ar.tag("chip-stats");
+    ar(_reqLatency);
+    ar(_respLatency);
+    ar(_probeLatency);
+    ar(_reqRetries);
+    ar(_respRetries);
+    ar(_retryExhausted);
+    ar(_respDelivered);
     // Retired slot: it held a trace-span id sequence, observer state
     // that DESIGN §12 keeps out of snapshots. Written as zero and
     // ignored on restore, so existing snapshots stay valid.
-    ser.u64(0);
-    for (const auto &s : _occupancy)
-        s.checkpointState(ser);
-    _occupancyTotal.checkpointState(ser);
-    _recorder.checkpointState(ser);
+    std::uint64_t retired = 0;
+    ar(retired);
+    ar(_occupancy);
+    ar(_occupancyTotal);
+    ar(_recorder);
     // The auditor's cumulative counters register as chip.audit.*, so
     // they are part of the session's stat contract like any other.
-    ser.b(_auditor != nullptr);
-    if (_auditor)
-        _auditor->checkpointState(ser);
-}
-
-void
-Chip::restoreState(sim::Deserializer &des)
-{
-    des.tag("chip");
-    auto geom = [&](std::uint32_t expect, const char *what) {
-        if (des.u32() != expect) {
-            throw sim::SnapshotError(
-                std::string("snapshot machine geometry mismatch: ") + what);
-        }
-    };
-    geom(_config.numClusters, "cluster count");
-    geom(_config.coresPerCluster, "cores per cluster");
-    geom(_config.numL3Banks, "bank count");
-    geom(_config.numChannels, "channel count");
-    if (des.u8() != static_cast<std::uint8_t>(_config.mode)) {
-        throw sim::SnapshotError(
-            "snapshot coherence mode does not match this configuration");
-    }
-
-    sim::Tick t = des.u64();
-    std::uint64_t events = des.u64();
-    std::uint64_t seq = des.u64();
-    _eq.adopt(t, seq, events);
-
-    _store.restoreState(des);
-    _dram.restoreState(des);
-    _fabric.restoreState(des);
-    _faults.restoreState(des);
-    _coarseTable.restoreState(des);
-    for (auto &cl : _clusters)
-        cl->restoreState(des);
-    for (auto &b : _banks)
-        b->restoreState(des);
-
-    des.tag("chip-stats");
-    for (sim::Histogram &h : _reqLatency)
-        h.restoreState(des);
-    _respLatency.restoreState(des);
-    _probeLatency.restoreState(des);
-    for (sim::Counter &c : _reqRetries)
-        c.restoreState(des);
-    _respRetries.restoreState(des);
-    _retryExhausted.restoreState(des);
-    _respDelivered.restoreState(des);
-    des.u64(); // retired slot, see checkpointState
-    for (auto &s : _occupancy)
-        s.restoreState(des);
-    _occupancyTotal.restoreState(des);
-    _recorder.restoreState(des);
-    if (des.b()) {
+    bool audited = _auditor != nullptr;
+    ar(audited);
+    if (audited) {
         if (!_auditor)
             _auditor = std::make_unique<coherence::Auditor>(*this);
-        _auditor->restoreState(des);
+        ar(*_auditor);
     }
+    // A restore may have switched the recorder on or off.
     updateRecAny();
 }
 

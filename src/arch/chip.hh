@@ -569,16 +569,16 @@ class Chip
     }
 
     /**
-     * Checkpoint hooks (tentpole of the crash-resilience work). Only
-     * legal at a quiescent point: the queue and the router must be
-     * drained and no bank transaction, cluster MSHR, or parked core
-     * may exist — coroutine frames cannot serialize. The queue record
-     * is its (tick, events run, next seq) triple. Callers should run a
-     * full audit pass first; checkpointState() enforces the structural
-     * conditions itself and throws sim::SnapshotError otherwise.
+     * Snapshot hook, run by both checkpoint and restore. Only legal at
+     * a quiescent point: the queue and the router must be drained and
+     * no bank transaction, cluster MSHR, or parked core may exist —
+     * coroutine frames cannot serialize. The queue record is its
+     * (tick, events run, next seq) triple. Callers should run a full
+     * audit pass before checkpointing; snapshot() enforces the
+     * structural conditions itself and throws sim::SnapshotError
+     * otherwise.
      */
-    void checkpointState(sim::Serializer &ser) const;
-    void restoreState(sim::Deserializer &des);
+    void snapshot(sim::Archive &ar);
 };
 
 } // namespace arch

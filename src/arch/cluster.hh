@@ -93,29 +93,27 @@ class BoundedIdSet
     }
 
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.u64(_order.size);
-        for (std::uint32_t s = _order.head; s != sim::noSlot;
-             s = _nodes[s].next)
-            ser.u32(_nodes[s].id);
-        _evicted.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        _index.clear();
-        _nodes.reset();
-        _order = sim::SlotList{};
-        std::uint64_t n = des.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::uint32_t id = des.u32();
-            if (contains(id))
-                throw sim::SnapshotError("snapshot corrupt: duplicate id");
-            append(id);
+        std::uint64_t n = _order.size;
+        ar.count(n);
+        if (!ar.loading()) {
+            for (std::uint32_t s = _order.head; s != sim::noSlot;
+                 s = _nodes[s].next)
+                ar(_nodes[s].id);
+        } else {
+            _index.clear();
+            _nodes.reset();
+            _order = sim::SlotList{};
+            for (std::uint64_t i = 0; i < n; ++i) {
+                std::uint32_t id = 0;
+                ar(id);
+                if (contains(id))
+                    throw sim::SnapshotError("snapshot corrupt: duplicate id");
+                append(id);
+            }
         }
-        _evicted.restoreState(des);
+        ar(_evicted);
     }
 
   private:
@@ -403,7 +401,7 @@ class Cluster
 
   public:
     /**
-     * Checkpoint hooks. Only legal at a quiescent point: no MSHR in
+     * Snapshot hook. Only legal at a quiescent point: no MSHR in
      * flight and no core parked on a drain — those hold coroutine
      * handles and cannot serialize. Pending writeback ids DO serialize
      * (their acks are still in flight conceptually, but at quiescence
@@ -412,9 +410,9 @@ class Cluster
      * accounting matches an uninterrupted run).
      */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("cluster");
+        ar.tag("cluster");
         if (_mshrs.size() != 0) {
             throw sim::SnapshotError(
                 "checkpoint with cluster MSHRs in flight");
@@ -423,50 +421,24 @@ class Cluster
             throw sim::SnapshotError(
                 "checkpoint with cores parked on a drain");
         }
-        ser.u64(_cores.size());
-        for (const auto &core : _cores)
-            core->checkpointState(ser);
-        _l2.checkpointState(ser);
-        ser.u64(_l2PortFree.size());
-        for (sim::Tick t : _l2PortFree)
-            ser.u64(t);
-        ser.u32(_msgSeq);
-        _pendingWb.checkpointState(ser);
-        _msgs.checkpointState(ser);
-        _flushIssued.checkpointState(ser);
-        _flushUseful.checkpointState(ser);
-        _invIssued.checkpointState(ser);
-        _invUseful.checkpointState(ser);
-        _l2Hits.checkpointState(ser);
-        _l2Misses.checkpointState(ser);
-        _evictClean.checkpointState(ser);
-        _evictDirty.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("cluster");
-        if (des.u64() != _cores.size())
-            throw sim::SnapshotError("snapshot core count mismatch");
+        ar.expect(_cores.size(), "core count");
         for (auto &core : _cores)
-            core->restoreState(des);
-        _l2.restoreState(des);
-        if (des.u64() != _l2PortFree.size())
-            throw sim::SnapshotError("snapshot L2 port count mismatch");
+            ar(*core);
+        ar(_l2);
+        ar.expect(_l2PortFree.size(), "L2 port count");
         for (sim::Tick &t : _l2PortFree)
-            t = des.u64();
-        _msgSeq = des.u32();
-        _pendingWb.restoreState(des);
-        _msgs.restoreState(des);
-        _flushIssued.restoreState(des);
-        _flushUseful.restoreState(des);
-        _invIssued.restoreState(des);
-        _invUseful.restoreState(des);
-        _l2Hits.restoreState(des);
-        _l2Misses.restoreState(des);
-        _evictClean.restoreState(des);
-        _evictDirty.restoreState(des);
+            ar(t);
+        ar(_msgSeq);
+        ar(_pendingWb);
+        ar(_msgs);
+        ar(_flushIssued);
+        ar(_flushUseful);
+        ar(_invIssued);
+        ar(_invUseful);
+        ar(_l2Hits);
+        ar(_l2Misses);
+        ar(_evictClean);
+        ar(_evictDirty);
     }
 };
 

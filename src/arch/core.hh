@@ -263,44 +263,29 @@ class Core
     void countInstructions(std::uint64_t n) { _instructions.inc(n); }
 
     /**
-     * Checkpoint hooks. At a quiescent point no operation is pending
-     * and no coroutine is parked, so only the architectural state
+     * Snapshot hook. At a quiescent point no operation is pending and
+     * no coroutine is parked, so only the architectural state
      * serializes: the local clock, both L1s, the I-fetch loop state,
      * and the instruction counter. The resumer/pending-op machinery is
      * asserted idle instead.
      */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
         if (_resumer.armed() || _pendingOp) {
             throw sim::SnapshotError(
                 "checkpoint with a core operation in flight");
         }
-        ser.u64(_localTime);
-        _l1i.checkpointState(ser);
-        _l1d.checkpointState(ser);
-        ser.u32(_codeBase);
-        ser.u32(_codeBytes);
-        ser.u32(_fetchOffset);
-        ser.b(_ifetchWarm);
-        ser.u32(_ifetchHitRun);
-        ser.u64(_opResult);
-        _instructions.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        _localTime = des.u64();
-        _l1i.restoreState(des);
-        _l1d.restoreState(des);
-        _codeBase = des.u32();
-        _codeBytes = des.u32();
-        _fetchOffset = des.u32();
-        _ifetchWarm = des.b();
-        _ifetchHitRun = des.u32();
-        _opResult = des.u64();
-        _instructions.restoreState(des);
+        ar(_localTime);
+        ar(_l1i);
+        ar(_l1d);
+        ar(_codeBase);
+        ar(_codeBytes);
+        ar(_fetchOffset);
+        ar(_ifetchWarm);
+        ar(_ifetchHitRun);
+        ar(_opResult);
+        ar(_instructions);
     }
 
   private:

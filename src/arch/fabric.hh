@@ -150,38 +150,16 @@ class Fabric
         reg.addHistogram(prefix + ".delay_down", delayDown());
     }
 
-    /** Checkpoint hooks: every next-free counter and ordering floor
+    /** Snapshot hook: every next-free counter and ordering floor
      *  shapes post-restore arrival ticks, so all of them serialize. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("fabric");
-        auto vec = [&](const std::vector<sim::Tick> &v) {
-            ser.u64(v.size());
-            for (sim::Tick t : v)
-                ser.u64(t);
-        };
-        vec(_clusterUp);
-        vec(_clusterDown);
-        vec(_bankIn);
-        vec(_bankOut);
-        vec(_c2bFloor);
-        vec(_b2cFloor);
-        _bytesUp.checkpointState(ser);
-        _bytesDown.checkpointState(ser);
-        _delayUp.checkpointState(ser);
-        _delayDown.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("fabric");
+        ar.tag("fabric");
         auto vec = [&](std::vector<sim::Tick> &v) {
-            if (des.u64() != v.size())
-                throw sim::SnapshotError("snapshot fabric shape mismatch");
+            ar.expect(v.size(), "fabric shape");
             for (sim::Tick &t : v)
-                t = des.u64();
+                ar(t);
         };
         vec(_clusterUp);
         vec(_clusterDown);
@@ -189,10 +167,10 @@ class Fabric
         vec(_bankOut);
         vec(_c2bFloor);
         vec(_b2cFloor);
-        _bytesUp.restoreState(des);
-        _bytesDown.restoreState(des);
-        _delayUp.restoreState(des);
-        _delayDown.restoreState(des);
+        ar(_bytesUp);
+        ar(_bytesDown);
+        ar(_delayUp);
+        ar(_delayDown);
     }
 
   private:

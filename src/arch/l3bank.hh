@@ -149,51 +149,32 @@ class L3Bank
     void rethrowFailedTransaction() const;
 
     /**
-     * Checkpoint hooks. Only legal when no transaction coroutine is
-     * live (then every line lock is also free — locks are erased on
-     * release with no waiters). The transaction-id sequence serializes
-     * so post-restore trace/causal ids continue where they left off.
+     * Snapshot hook. Only legal when no transaction coroutine is live
+     * (then every line lock is also free — locks are erased on release
+     * with no waiters). The transaction-id sequence serializes so
+     * post-restore trace/causal ids continue where they left off.
      */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("bank");
+        ar.tag("bank");
         if (_txns.live() != 0) {
             throw sim::SnapshotError(
                 "checkpoint with bank transactions in flight");
         }
-        _l3.checkpointState(ser);
-        _backend->checkpointState(ser);
-        _tableCache.checkpointState(ser);
-        ser.u64(_l3PortFree);
-        ser.u64(_txnSeq);
-        _transitions.checkpointState(ser);
-        _tableLookups.checkpointState(ser);
-        _dirEvictions.checkpointState(ser);
-        _atomics.checkpointState(ser);
-        _mergeConflicts.checkpointState(ser);
-        _l3Hits.checkpointState(ser);
-        _l3Misses.checkpointState(ser);
-        _txnsCompleted.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("bank");
-        _l3.restoreState(des);
-        _backend->restoreState(des);
-        _tableCache.restoreState(des);
-        _l3PortFree = des.u64();
-        _txnSeq = des.u64();
-        _transitions.restoreState(des);
-        _tableLookups.restoreState(des);
-        _dirEvictions.restoreState(des);
-        _atomics.restoreState(des);
-        _mergeConflicts.restoreState(des);
-        _l3Hits.restoreState(des);
-        _l3Misses.restoreState(des);
-        _txnsCompleted.restoreState(des);
+        ar(_l3);
+        ar(*_backend);
+        ar(_tableCache);
+        ar(_l3PortFree);
+        ar(_txnSeq);
+        ar(_transitions);
+        ar(_tableLookups);
+        ar(_dirEvictions);
+        ar(_atomics);
+        ar(_mergeConflicts);
+        ar(_l3Hits);
+        ar(_l3Misses);
+        ar(_txnsCompleted);
     }
 
     // --- Statistics -----------------------------------------------------

@@ -79,19 +79,7 @@ class MsgCounters
 
     void exportTo(sim::StatSet &out, const std::string &prefix) const;
 
-    void
-    checkpointState(sim::Serializer &ser) const
-    {
-        for (std::uint64_t v : _counts)
-            ser.u64(v);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        for (std::uint64_t &v : _counts)
-            v = des.u64();
-    }
+    void snapshot(sim::Archive &ar) { ar(_counts); }
 
   private:
     std::array<std::uint64_t, numMsgClasses> _counts{};

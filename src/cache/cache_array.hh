@@ -32,6 +32,7 @@ namespace cache {
  * quantified (MachineConfig::useMesi, ablation 5).
  */
 enum class CohState : std::uint8_t { Invalid, Shared, Exclusive, Modified };
+constexpr unsigned numCohStates = 4;
 
 const char *cohStateName(CohState s);
 
@@ -285,45 +286,24 @@ class CacheArray
             line.reset();
     }
 
-    /** Checkpoint hooks: every line (tags, states, masks, data, LRU
+    /** Snapshot hook: every line (tags, states, masks, data, LRU
      *  stamps) plus the LRU clock, field by field — no struct memcpy,
      *  so padding bytes never leak into snapshots. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("cache:" + _name);
-        ser.u64(_lines.size());
-        ser.u64(_lruClock);
-        for (const Line &l : _lines) {
-            ser.b(l.valid);
-            ser.u32(l.base);
-            ser.u8(static_cast<std::uint8_t>(l.hwState));
-            ser.b(l.incoherent);
-            ser.u8(l.validMask);
-            ser.u8(l.dirtyMask);
-            ser.u64(l.lruStamp);
-            ser.bytes(l.data.data(), l.data.size());
-        }
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("cache:" + _name);
-        if (des.u64() != _lines.size()) {
-            throw sim::SnapshotError("snapshot geometry mismatch for " +
-                                     _name);
-        }
-        _lruClock = des.u64();
+        ar.tag("cache:" + _name);
+        ar.expect(_lines.size(), "line count");
+        ar(_lruClock);
         for (Line &l : _lines) {
-            l.valid = des.b();
-            l.base = des.u32();
-            l.hwState = static_cast<CohState>(des.u8());
-            l.incoherent = des.b();
-            l.validMask = des.u8();
-            l.dirtyMask = des.u8();
-            l.lruStamp = des.u64();
-            des.bytes(l.data.data(), l.data.size());
+            ar(l.valid);
+            ar(l.base);
+            ar.below(l.hwState, numCohStates);
+            ar(l.incoherent);
+            ar(l.validMask);
+            ar(l.dirtyMask);
+            ar(l.lruStamp);
+            ar.bytes(l.data.data(), l.data.size());
         }
     }
 

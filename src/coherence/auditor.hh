@@ -119,24 +119,15 @@ class Auditor
     void registerStats(sim::StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Checkpoint hooks: the cumulative pass counters are part of the
+    /** Snapshot hook: the cumulative pass counters are part of the
      *  session's statistics contract, so they travel with the machine. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("auditor");
-        _passes.checkpointState(ser);
-        _linesChecked.checkpointState(ser);
-        _linesSkipped.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("auditor");
-        _passes.restoreState(des);
-        _linesChecked.restoreState(des);
-        _linesSkipped.restoreState(des);
+        ar.tag("auditor");
+        ar(_passes);
+        ar(_linesChecked);
+        ar(_linesSkipped);
     }
 
   private:

@@ -180,13 +180,12 @@ class Backend
     virtual std::uint64_t dirInsertions() const { return 0; }
 
     /**
-     * Serialize protocol state under a backend-specific CCKPT1
+     * Snapshot hook: protocol state under a backend-specific CCKPT1
      * section tag ("backend:<name>"), so restoring a snapshot into a
      * machine with a different backend fails with a clear
      * SnapshotError instead of misreading bytes.
      */
-    virtual void checkpointState(sim::Serializer &ser) const = 0;
-    virtual void restoreState(sim::Deserializer &des) = 0;
+    virtual void snapshot(sim::Archive &ar) = 0;
 };
 
 // --- Registry -----------------------------------------------------------

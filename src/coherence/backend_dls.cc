@@ -241,17 +241,11 @@ DlsBackend::adoptLine(mem::Addr base, std::uint32_t txn,
 }
 
 void
-DlsBackend::checkpointState(sim::Serializer &ser) const
+DlsBackend::snapshot(sim::Archive &ar)
 {
     // Directoryless: the section tag is the whole payload. It still
     // guards against restoring a snapshot into a different backend.
-    ser.tag("backend:dls");
-}
-
-void
-DlsBackend::restoreState(sim::Deserializer &des)
-{
-    des.tag("backend:dls");
+    ar.tag("backend:dls");
 }
 
 } // namespace coherence

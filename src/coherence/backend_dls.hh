@@ -40,8 +40,7 @@ class DlsBackend : public Backend
     void writeRelease(const arch::Request &) override {}
     void readRelease(const arch::Request &) override {}
 
-    void checkpointState(sim::Serializer &ser) const override;
-    void restoreState(sim::Deserializer &des) override;
+    void snapshot(sim::Archive &ar) override;
 
   private:
     static constexpr unsigned kNoExclude = ~0u;

@@ -575,19 +575,11 @@ MsiBackend::makeRoom(mem::Addr base, std::uint32_t txn,
 }
 
 void
-MsiBackend::checkpointState(sim::Serializer &ser) const
+MsiBackend::snapshot(sim::Archive &ar)
 {
-    ser.tag("backend:" + _name);
-    _dir.checkpointState(ser);
-    ser.u64(_dirPortFree);
-}
-
-void
-MsiBackend::restoreState(sim::Deserializer &des)
-{
-    des.tag("backend:" + _name);
-    _dir.restoreState(des);
-    _dirPortFree = des.u64();
+    ar.tag("backend:" + _name);
+    ar(_dir);
+    ar(_dirPortFree);
 }
 
 } // namespace coherence

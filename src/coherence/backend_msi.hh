@@ -50,8 +50,7 @@ class MsiBackend : public Backend
         return _dir.insertions();
     }
 
-    void checkpointState(sim::Serializer &ser) const override;
-    void restoreState(sim::Deserializer &des) override;
+    void snapshot(sim::Archive &ar) override;
 
   private:
     /**

@@ -81,6 +81,14 @@ struct DirEntry
     mem::Addr base = 0;
     cache::CohState state = cache::CohState::Invalid;
     SharerSet sharers;
+
+    void
+    snapshot(sim::Archive &ar)
+    {
+        ar(base);
+        ar.below(state, cache::numCohStates);
+        ar(sharers);
+    }
 };
 
 /**
@@ -209,7 +217,7 @@ class Directory
     std::uint64_t insertions() const { return _insertions.value(); }
 
     /** Apply @p fn to each allocated entry, set by set, LRU first
-     *  (the order checkpointState writes). */
+     *  (the order snapshot() writes). */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
@@ -222,59 +230,49 @@ class Directory
     }
 
     /**
-     * Checkpoint hooks. Entries are written per set in LRU order
-     * (front first) so the rebuilt lists victimize identically; the
-     * index is reconstructed, never serialized, so table layout can't
-     * leak into snapshots.
+     * Snapshot hook. Entries are written per set in LRU order (front
+     * first) so the rebuilt lists victimize identically; the index is
+     * reconstructed, never serialized, so table layout can't leak into
+     * snapshots.
      */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("directory");
-        ser.u64(_sets.size());
-        for (const Set &set : _sets) {
-            ser.u64(set.lru.size);
-            for (std::uint32_t s = set.lru.head; s != sim::noSlot;
-                 s = _nodes[s].next) {
-                const DirEntry &e = _nodes[s].entry;
-                ser.u32(e.base);
-                ser.u8(static_cast<std::uint8_t>(e.state));
-                e.sharers.checkpointState(ser);
-            }
+        ar.tag("directory");
+        ar.expect(_sets.size(), "directory set count");
+        if (ar.loading()) {
+            _index.clear();
+            _nodes.reset();
+            for (Set &set : _sets)
+                set.lru = sim::SlotList{};
         }
-        ser.u32(_peakEntries);
-        _insertions.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("directory");
-        if (des.u64() != _sets.size())
-            throw sim::SnapshotError("snapshot directory set-count mismatch");
-        _index.clear();
-        _nodes.reset();
-        for (Set &set : _sets)
-            set.lru = sim::SlotList{};
         for (std::uint32_t si = 0; si < _sets.size(); ++si) {
-            std::uint64_t n = des.u64();
+            std::uint64_t n = _sets[si].lru.size;
+            ar.count(n);
+            if (!ar.loading()) {
+                for (std::uint32_t s = _sets[si].lru.head; s != sim::noSlot;
+                     s = _nodes[s].next)
+                    ar(_nodes[s].entry);
+                continue;
+            }
             for (std::uint64_t i = 0; i < n; ++i) {
-                mem::Addr base = des.u32();
-                if (peek(base)) {
+                DirEntry e{0, cache::CohState::Invalid,
+                           SharerSet(_config.sharerKind, _numCaches,
+                                     _config.pointers)};
+                ar(e);
+                if (peek(e.base)) {
                     throw sim::SnapshotError(
                         "snapshot corrupt: duplicate directory entry");
                 }
-                if (setOf(base) != si) {
+                if (setOf(e.base) != si) {
                     throw sim::SnapshotError(
                         "snapshot corrupt: directory entry in wrong set");
                 }
-                DirEntry &e = link(base);
-                e.state = static_cast<cache::CohState>(des.u8());
-                e.sharers.restoreState(des);
+                link(e.base) = e;
             }
         }
-        _peakEntries = des.u32();
-        _insertions.restoreState(des);
+        ar(_peakEntries);
+        ar(_insertions);
     }
 
   private:

@@ -194,49 +194,27 @@ class SharerSet
         _count = 0;
     }
 
-    /** Checkpoint hooks. The shape fields (kind, cache count, pointer
-     *  budget) serialize too: directory entries are rebuilt from
-     *  scratch on restore, so the set must carry its own geometry. */
+    /** Snapshot hook. The shape (kind, cache count, pointer budget)
+     *  is written too, and a restore demands the shape of the set it
+     *  restores into: the directory builds each restored entry with
+     *  its own shape first. Pointer ids index the machine's caches. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.u8(static_cast<std::uint8_t>(_kind));
-        ser.u32(_numCaches);
-        ser.u32(_maxPointers);
-        ser.u32(_count);
-        ser.b(_broadcast);
-        ser.u64(_numPointers);
-        for (unsigned i = 0; i < _numPointers; ++i)
-            ser.u32(pointer(i));
-        unsigned words = bitmapWords();
-        ser.u64(words);
-        for (unsigned w = 0; w < words; ++w)
-            ser.u64(_words[w]);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        _kind = static_cast<SharerKind>(des.u8());
-        _numCaches = des.u32();
-        _maxPointers = des.u32();
-        _count = des.u32();
-        _broadcast = des.b();
-        _words.fill(0);
-        std::uint64_t n = des.u64();
-        if ((_kind == SharerKind::FullMap && _numCaches > maxCaches) ||
-            (_kind == SharerKind::LimitedPtr &&
-             _maxPointers > maxPointerSlots) ||
-            n > _maxPointers) {
-            throw sim::SnapshotError("snapshot corrupt: sharer set shape");
+        ar.expect(_kind, "sharer kind");
+        ar.expect(_numCaches, "sharer cache count");
+        ar.expect(_maxPointers, "sharer pointer budget");
+        ar(_count);
+        ar(_broadcast);
+        ar.below(_numPointers, _maxPointers + 1);
+        for (unsigned i = 0; i < _numPointers; ++i) {
+            unsigned id = pointer(i);
+            ar.below(id, _numCaches);
+            setPointer(i, id);
         }
-        _numPointers = static_cast<unsigned>(n);
-        for (unsigned i = 0; i < _numPointers; ++i)
-            setPointer(i, des.u32());
-        if (des.u64() != bitmapWords())
-            throw sim::SnapshotError("snapshot corrupt: sharer bitmap");
+        ar.expect(bitmapWords(), "sharer bitmap size");
         for (unsigned w = 0; w < bitmapWords(); ++w)
-            _words[w] = des.u64();
+            ar(_words[w]);
     }
 
   private:

@@ -32,6 +32,7 @@ namespace cohesion {
 
 /** Why a coarse region is software-coherent (for diagnostics). */
 enum class RegionKind : std::uint8_t { Code, Stack, Immutable, Other };
+constexpr unsigned numRegionKinds = 4;
 
 const char *regionKindName(RegionKind k);
 
@@ -80,30 +81,20 @@ class CoarseRegionTable
     const std::vector<CoarseRegion> &regions() const { return _regions; }
     void clear() { _regions.clear(); }
 
-    /** Checkpoint hooks. The boot-time regions are deterministic, but
+    /** Snapshot hook. The boot-time regions are deterministic, but
      *  serializing them keeps the snapshot self-contained if a future
      *  runtime registers regions dynamically. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("coarse-regions");
-        ser.u64(_regions.size());
-        for (const CoarseRegion &r : _regions) {
-            ser.u32(r.start);
-            ser.u32(r.size);
-            ser.u8(static_cast<std::uint8_t>(r.kind));
-        }
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("coarse-regions");
-        _regions.resize(des.u64());
+        ar.tag("coarse-regions");
+        std::uint64_t n = _regions.size();
+        ar.count(n);
+        _regions.resize(n);
         for (CoarseRegion &r : _regions) {
-            r.start = des.u32();
-            r.size = des.u32();
-            r.kind = static_cast<RegionKind>(des.u8());
+            ar(r.start);
+            ar(r.size);
+            ar.below(r.kind, numRegionKinds);
         }
     }
 

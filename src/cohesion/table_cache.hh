@@ -105,39 +105,21 @@ class TableCache
     std::uint64_t hits() const { return _hits.value(); }
     std::uint64_t misses() const { return _misses.value(); }
 
-    /** Checkpoint hooks. The fault-injector pointer is wiring, not
+    /** Snapshot hook. The fault-injector pointer is wiring, not
      *  state — the owner re-attaches it after restore. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("table-cache");
-        ser.u64(_entries.size());
-        for (const Entry &e : _entries) {
-            ser.b(e.valid);
-            ser.u32(e.addr);
-            ser.u32(e.word);
-            ser.u32(e.prev);
-        }
-        _hits.checkpointState(ser);
-        _misses.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("table-cache");
-        if (des.u64() != _entries.size()) {
-            throw sim::SnapshotError(
-                "snapshot table-cache capacity mismatch");
-        }
+        ar.tag("table-cache");
+        ar.expect(_entries.size(), "table-cache capacity");
         for (Entry &e : _entries) {
-            e.valid = des.b();
-            e.addr = des.u32();
-            e.word = des.u32();
-            e.prev = des.u32();
+            ar(e.valid);
+            ar(e.addr);
+            ar(e.word);
+            ar(e.prev);
         }
-        _hits.restoreState(des);
-        _misses.restoreState(des);
+        ar(_hits);
+        ar(_misses);
     }
 
   private:

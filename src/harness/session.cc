@@ -62,17 +62,23 @@ Session::Session(const arch::MachineConfig &cfg,
 
 Session::~Session() = default;
 
+void
+Session::snapshot(sim::Archive &ar)
+{
+    ar(*_chip);
+    ar(*_rt);
+}
+
 std::string
 Session::checkpoint()
 {
     // Auditor pre-checkpoint pass: never snapshot an inconsistent
     // machine (throws coherence::AuditError). The structural quiescence
-    // conditions are then enforced by checkpointState itself.
+    // conditions are then enforced by the snapshot hooks themselves.
     _chip->verifyNow();
-    sim::Serializer ser;
-    _chip->checkpointState(ser);
-    _rt->checkpointState(ser);
-    return sim::frameSnapshot(ser.blob());
+    sim::Archive ar;
+    snapshot(ar);
+    return sim::frameSnapshot(ar.payload());
 }
 
 void
@@ -85,10 +91,9 @@ void
 Session::restore(const std::string &framed)
 {
     std::string payload = sim::unframeSnapshot(framed);
-    sim::Deserializer des(payload);
-    _chip->restoreState(des);
-    _rt->restoreState(des);
-    if (!des.atEnd())
+    sim::Archive ar(payload);
+    snapshot(ar);
+    if (!ar.atEnd())
         throw sim::SnapshotError("snapshot has trailing bytes");
 }
 

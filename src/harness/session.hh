@@ -58,7 +58,8 @@ class Session
      */
     std::string checkpoint();
 
-    /** checkpoint() straight to @p path (throws sim::SnapshotError). */
+    /** Write checkpoint()'s bytes, as they are, to @p path (throws
+     *  sim::SnapshotError). */
     void checkpointTo(const std::string &path);
 
     /**
@@ -73,6 +74,9 @@ class Session
     void restoreFrom(const std::string &path);
 
   private:
+    /** The snapshot payload: the chip, then the runtime. */
+    void snapshot(sim::Archive &ar);
+
     arch::MachineConfig _cfg;     ///< As given (registry/report view).
     arch::MachineConfig _cfgEff;  ///< With the chained fault seed.
     std::unique_ptr<arch::Chip> _chip;

@@ -92,34 +92,33 @@ class BackingStore
     /** Number of pages materialized (footprint diagnostics). */
     std::size_t pagesAllocated() const { return _allocated; }
 
-    /** Checkpoint hooks. Pages are written in ascending page-number
+    /** Snapshot hook. Pages are written in ascending page-number
      *  order so snapshots of identical memory images are byte-identical
      *  regardless of allocation order. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("store");
-        ser.u64(pagesAllocated());
-        for (std::size_t page = 0; page < numPages; ++page) {
-            if (!_pages[page])
-                continue;
-            ser.u32(static_cast<std::uint32_t>(page));
-            ser.bytes(_pages[page].get(), pageBytes);
+        ar.tag("store");
+        std::uint64_t n = _allocated;
+        ar.count(n);
+        if (!ar.loading()) {
+            for (std::uint32_t page = 0; page < numPages; ++page) {
+                if (!_pages[page])
+                    continue;
+                ar(page);
+                ar.bytes(_pages[page].get(), pageBytes);
+            }
+            return;
         }
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("store");
         for (auto &p : _pages)
             p.reset();
-        _allocated = 0;
-        std::uint64_t n = des.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
-            std::uint32_t page = des.u32();
+            std::uint32_t page = 0;
+            ar.below(page, numPages);
+            if (_pages[page])
+                throw sim::SnapshotError("snapshot corrupt: duplicate page");
             _pages[page].reset(new std::uint8_t[pageBytes]);
-            des.bytes(_pages[page].get(), pageBytes);
+            ar.bytes(_pages[page].get(), pageBytes);
         }
         _allocated = n;
     }

@@ -78,39 +78,22 @@ class DramChannel
     std::uint64_t rowHits() const { return _rowHits.value(); }
     std::uint64_t rowMisses() const { return _rowMisses.value(); }
 
-    /** Checkpoint hooks: open-row state and next-free counters shape
+    /** Snapshot hook: open-row state and next-free counters shape
      *  every post-restore access latency. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.u64(_banks.size());
-        for (const Bank &b : _banks) {
-            ser.b(b.rowValid);
-            ser.u32(b.openRow);
-            ser.u64(b.nextFree);
-        }
-        ser.u64(_busNextFree);
-        _reads.checkpointState(ser);
-        _writes.checkpointState(ser);
-        _rowHits.checkpointState(ser);
-        _rowMisses.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        if (des.u64() != _banks.size())
-            throw sim::SnapshotError("snapshot DRAM bank count mismatch");
+        ar.expect(_banks.size(), "DRAM bank count");
         for (Bank &b : _banks) {
-            b.rowValid = des.b();
-            b.openRow = des.u32();
-            b.nextFree = des.u64();
+            ar(b.rowValid);
+            ar(b.openRow);
+            ar(b.nextFree);
         }
-        _busNextFree = des.u64();
-        _reads.restoreState(des);
-        _writes.restoreState(des);
-        _rowHits.restoreState(des);
-        _rowMisses.restoreState(des);
+        ar(_busNextFree);
+        ar(_reads);
+        ar(_writes);
+        ar(_rowHits);
+        ar(_rowMisses);
     }
 
   private:
@@ -151,22 +134,12 @@ class DramModel
     unsigned numChannels() const { return _channels.size(); }
 
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("dram");
-        ser.u64(_channels.size());
-        for (const DramChannel &c : _channels)
-            c.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("dram");
-        if (des.u64() != _channels.size())
-            throw sim::SnapshotError("snapshot DRAM channel count mismatch");
+        ar.tag("dram");
+        ar.expect(_channels.size(), "DRAM channel count");
         for (DramChannel &c : _channels)
-            c.restoreState(des);
+            ar(c);
     }
 
     /** Aggregate accesses across channels (diagnostics). */

@@ -105,44 +105,38 @@ class Heap
     std::uint32_t peakBytes() const { return _peakBytes; }
     std::size_t allocations() const { return _allocated.size(); }
 
-    /** Checkpoint hooks. The free and allocated maps restore exactly,
+    /** Snapshot hook. The free and allocated maps restore exactly,
      *  so first-fit allocations after a restore land at the same
      *  addresses as in an uninterrupted session — address-sensitive
      *  workloads stay bit-identical. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("heap:" + _name);
-        auto blocks = [&](const std::map<mem::Addr, std::uint32_t> &m) {
-            ser.u64(m.size());
-            for (const auto &[start, size] : m) {
-                ser.u32(start);
-                ser.u32(size);
-            }
-        };
-        blocks(_free);
-        blocks(_allocated);
-        ser.u32(_bytesLive);
-        ser.u32(_peakBytes);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("heap:" + _name);
+        ar.tag("heap:" + _name);
         auto blocks = [&](std::map<mem::Addr, std::uint32_t> &m) {
+            std::uint64_t n = m.size();
+            ar.count(n);
+            if (!ar.loading()) {
+                for (auto &[start, size] : m) {
+                    mem::Addr at = start;
+                    ar(at);
+                    ar(size);
+                }
+                return;
+            }
             m.clear();
-            std::uint64_t n = des.u64();
             for (std::uint64_t i = 0; i < n; ++i) {
-                mem::Addr start = des.u32();
-                std::uint32_t size = des.u32();
+                mem::Addr start = 0;
+                std::uint32_t size = 0;
+                ar(start);
+                ar(size);
                 m.emplace(start, size);
             }
         };
         blocks(_free);
         blocks(_allocated);
-        _bytesLive = des.u32();
-        _peakBytes = des.u32();
+        ar(_bytesLive);
+        ar(_peakBytes);
     }
 
   private:

@@ -12,6 +12,7 @@
 #ifndef COHESION_RUNTIME_RUNTIME_HH
 #define COHESION_RUNTIME_RUNTIME_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -63,50 +64,38 @@ class Barrier
      *  phases every core agrees). */
     std::uint64_t episodes() const { return _episodesReleased; }
 
-    /** Checkpoint hooks. The episode index picks the live counter word
+    /** Snapshot hook. The episode index picks the live counter word
      *  (a fresh word per episode, modulo the window), so it must
      *  survive a restore or post-restore barriers would reread a stale
      *  counter. No core may be parked at the barrier, and at a
      *  quiescent point all per-core/per-cluster views agree, so the
      *  record is a single episode word. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("barrier");
+        ar.tag("barrier");
         for (const auto &w : _waiting) {
             if (!w.empty()) {
                 throw sim::SnapshotError(
                     "checkpoint with cores parked at the barrier");
             }
         }
-        std::uint64_t ep = _episodesReleased;
         for (std::uint64_t e : _coreEpisode) {
-            if (e != ep) {
+            if (e != _episodesReleased) {
                 throw sim::SnapshotError(
                     "checkpoint with barrier arrivals in flight");
             }
         }
         for (std::uint64_t r : _released) {
-            if (r != ep) {
+            if (r != _episodesReleased) {
                 throw sim::SnapshotError(
                     "checkpoint with barrier releases in flight");
             }
         }
-        ser.u64(ep);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("barrier");
-        std::uint64_t ep = des.u64();
-        _episodesReleased = ep;
-        for (std::uint64_t &e : _coreEpisode)
-            e = ep;
-        for (std::uint64_t &r : _released)
-            r = ep;
-        for (auto &w : _waiting)
-            w.clear();
+        ar(_episodesReleased);
+        std::fill(_coreEpisode.begin(), _coreEpisode.end(),
+                  _episodesReleased);
+        std::fill(_released.begin(), _released.end(), _episodesReleased);
     }
 
   private:
@@ -158,32 +147,19 @@ class TaskQueue
      */
     sim::CoTask pop(arch::Core &core, unsigned p, TaskDesc *out, bool *got);
 
-    /** Checkpoint hooks: phase descriptors are simulated-memory
-     *  pointers plus counts — plain data, no coroutine state. */
+    /** Snapshot hook: phase descriptors are simulated-memory pointers
+     *  plus counts — plain data, no coroutine state. */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("taskqueue");
-        ser.u64(_phases.size());
-        for (const Phase &p : _phases) {
-            ser.u32(p.counter);
-            ser.u32(p.descs);
-            ser.u32(p.count);
-        }
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("taskqueue");
-        _phases.clear();
-        std::uint64_t n = des.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Phase p;
-            p.counter = des.u32();
-            p.descs = des.u32();
-            p.count = des.u32();
-            _phases.push_back(p);
+        ar.tag("taskqueue");
+        std::uint64_t n = _phases.size();
+        ar.count(n);
+        _phases.resize(n);
+        for (Phase &p : _phases) {
+            ar(p.counter);
+            ar(p.descs);
+            ar(p.count);
         }
     }
 
@@ -287,32 +263,21 @@ class CohesionRuntime
     std::vector<float> verifyReadF32(mem::Addr a, std::size_t n);
 
     /**
-     * Checkpoint hooks for the runtime's own state: the three heaps
-     * (so allocation addresses continue identically), the barrier
-     * episode, and the task-queue phases. Boot-time region-table and
-     * fine-table contents live in the chip snapshot. The chip itself
-     * is checkpointed separately by the session.
+     * Snapshot hook for the runtime's own state: the three heaps (so
+     * allocation addresses continue identically), the barrier episode,
+     * and the task-queue phases. Boot-time region-table and fine-table
+     * contents live in the chip snapshot. The chip itself is
+     * snapshotted separately by the session.
      */
     void
-    checkpointState(sim::Serializer &ser) const
+    snapshot(sim::Archive &ar)
     {
-        ser.tag("runtime");
-        _cohHeap.checkpointState(ser);
-        _incHeap.checkpointState(ser);
-        _metaHeap.checkpointState(ser);
-        _barrier.checkpointState(ser);
-        _queue.checkpointState(ser);
-    }
-
-    void
-    restoreState(sim::Deserializer &des)
-    {
-        des.tag("runtime");
-        _cohHeap.restoreState(des);
-        _incHeap.restoreState(des);
-        _metaHeap.restoreState(des);
-        _barrier.restoreState(des);
-        _queue.restoreState(des);
+        ar.tag("runtime");
+        ar(_cohHeap);
+        ar(_incHeap);
+        ar(_metaHeap);
+        ar(_barrier);
+        ar(_queue);
     }
 
   private:

@@ -63,27 +63,6 @@ class EventQueue
      */
     Tick lastFired() const { return _lastFired; }
 
-    /** Next schedule-order sequence number (checkpoint plumbing). */
-    std::uint64_t nextSeq() const { return _nextSeq; }
-
-    /**
-     * Restore-time adoption: set the clock and counters of a drained,
-     * unused queue from a snapshot's (tick, eventsRun, nextSeq) record,
-     * so post-restore scheduling (and same-tick tie-breaks) continue
-     * exactly where the snapshotted run stopped.
-     */
-    void
-    adopt(Tick now, std::uint64_t next_seq, std::uint64_t events_run = 0)
-    {
-        panic_if(_size != 0 || _eventsRun != 0,
-                 "adopting into a used event queue");
-        _now = now;
-        _lastFired = now;
-        _base = now;
-        _nextSeq = next_seq;
-        _eventsRun = events_run;
-    }
-
     /** Number of events currently pending. */
     std::size_t pending() const { return _size; }
 
@@ -147,34 +126,27 @@ class EventQueue
     }
 
     /**
-     * Checkpoint hooks. Snapshots are only taken at quiescent points,
-     * so the queue must be drained: the type-erased callables never
-     * serialize, only the clock and the counters that make later
-     * scheduling (sequence numbers) and reporting (events run) resume
-     * exactly where they left off.
+     * Snapshot hook: the (now, events run, next sequence) record.
+     * Snapshots are only taken at quiescent points, so the queue must
+     * be drained: the type-erased callables never serialize, only the
+     * clock and the counters that make later scheduling (same-tick
+     * tie-breaks) and reporting (events run) resume exactly where they
+     * left off.
      */
     void
-    checkpointState(Serializer &ser) const
+    snapshot(Archive &ar)
     {
-        if (_size != 0) {
-            throw SnapshotError(
-                "checkpoint requires a drained event queue");
-        }
-        ser.u64(_now);
-        ser.u64(_eventsRun);
-        ser.u64(_nextSeq);
-    }
-
-    void
-    restoreState(Deserializer &des)
-    {
-        panic_if(_size != 0 || _eventsRun != 0,
+        if (_size != 0)
+            throw SnapshotError("checkpoint with events pending");
+        panic_if(ar.loading() && _eventsRun != 0,
                  "restoring into a used event queue");
-        _now = des.u64();
-        _eventsRun = des.u64();
-        _nextSeq = des.u64();
-        _base = _now;
-        _lastFired = _now;
+        ar(_now);
+        ar(_eventsRun);
+        ar(_nextSeq);
+        if (ar.loading()) {
+            _base = _now;
+            _lastFired = _now;
+        }
     }
 
   private:

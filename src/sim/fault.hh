@@ -230,60 +230,25 @@ class FaultInjector
     /** Register per-site injected/recovered counters under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix) const;
 
-    /** Checkpoint hooks: every lane's Rng stream and counters resume
-     *  so post-restore fault decisions replay the uninterrupted
-     *  campaign exactly. The plan itself is configuration, rebuilt by
-     *  the caller before restore. */
+    /** Snapshot hook: every lane's Rng stream and counters resume so
+     *  post-restore fault decisions replay the uninterrupted campaign
+     *  exactly. The plan itself is configuration, rebuilt by the
+     *  caller before restore. */
     void
-    checkpointState(Serializer &ser) const
+    snapshot(Archive &ar)
     {
-        ser.tag("faults");
-        ser.b(_enabled);
-        ser.u64(_seed);
-        for (const auto &site : _lanes) {
-            ser.u64(site.size());
-            for (const Lane &l : site) {
-                for (std::uint64_t w : l.rng.rawState())
-                    ser.u64(w);
-                ser.u64(l.injected);
-            }
-        }
-        for (std::uint64_t v : _recovered)
-            ser.u64(v);
-        for (std::uint64_t w : _pumpRng.rawState())
-            ser.u64(w);
-    }
-
-    void
-    restoreState(Deserializer &des)
-    {
-        des.tag("faults");
-        bool enabled = des.b();
-        if (enabled != _enabled) {
-            throw SnapshotError("snapshot fault-injection state does not "
-                                "match this configuration");
-        }
-        _seed = des.u64();
+        ar.tag("faults");
+        ar.expect(_enabled, "fault-injection state");
+        ar(_seed);
         for (auto &site : _lanes) {
-            if (des.u64() != site.size()) {
-                throw SnapshotError(
-                    "snapshot fault-lane geometry does not match this "
-                    "machine configuration");
-            }
+            ar.expect(site.size(), "fault-lane count");
             for (Lane &l : site) {
-                std::array<std::uint64_t, 4> s;
-                for (std::uint64_t &w : s)
-                    w = des.u64();
-                l.rng.setRawState(s);
-                l.injected = des.u64();
+                ar(l.rng);
+                ar(l.injected);
             }
         }
-        for (std::uint64_t &v : _recovered)
-            v = des.u64();
-        std::array<std::uint64_t, 4> s;
-        for (std::uint64_t &w : s)
-            w = des.u64();
-        _pumpRng.setRawState(s);
+        ar(_recovered);
+        ar(_pumpRng);
     }
 
   private:

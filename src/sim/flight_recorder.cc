@@ -24,7 +24,8 @@ static_assert(sizeof(DumpHeader) == 24);
 void
 FlightRecorder::enable(std::uint32_t capacity)
 {
-    std::uint32_t cap = std::bit_ceil(std::max<std::uint32_t>(capacity, 16));
+    std::uint32_t cap =
+        std::bit_ceil(std::max<std::uint32_t>(capacity, minCapacity));
     _ring.assign(cap, Record{});
     _mask = cap - 1;
     _next = 0;
@@ -105,37 +106,30 @@ FlightRecorder::deserialize(std::string_view bytes, std::vector<Record> *out,
 }
 
 void
-FlightRecorder::checkpointState(Serializer &ser) const
+FlightRecorder::snapshot(Archive &ar)
 {
-    ser.tag("recorder");
-    ser.u32(capacity());
-    ser.u64(_next);
+    ar.tag("recorder");
+    std::uint32_t cap = capacity();
+    ar.count(cap);
+    std::uint64_t next = _next;
+    ar(next);
+    if (ar.loading()) {
+        if (cap == 0) {
+            disable();
+        } else if (!std::has_single_bit(cap) || cap < minCapacity) {
+            throw SnapshotError(
+                "snapshot corrupt: recorder capacity not a power of two");
+        } else {
+            enable(cap);
+        }
+        _next = next;
+    }
     if (!enabled())
         return;
     // Full ring in slot order: the masked-store cursor lands on the
     // same slots after restore, so post-restore history splices onto
     // pre-checkpoint history exactly.
-    ser.bytes(_ring.data(), _ring.size() * sizeof(Record));
-}
-
-void
-FlightRecorder::restoreState(Deserializer &des)
-{
-    des.tag("recorder");
-    std::uint32_t cap = des.u32();
-    std::uint64_t next = des.u64();
-    if (cap == 0) {
-        disable();
-        _next = next;
-        return;
-    }
-    enable(cap);
-    if (capacity() != cap) {
-        throw SnapshotError(
-            "snapshot corrupt: recorder capacity not a power of two");
-    }
-    _next = next;
-    des.bytes(_ring.data(), _ring.size() * sizeof(Record));
+    ar.bytes(_ring.data(), _ring.size() * sizeof(Record));
 }
 
 const char *

@@ -124,10 +124,12 @@ class FlightRecorder
 
     // --- Recording ----------------------------------------------------
 
+    static constexpr std::uint32_t minCapacity = 16;
+
     /**
      * Allocate a ring of @p capacity records (rounded up to a power of
-     * two, minimum 16). The one and only allocation; re-enabling with a
-     * different capacity restarts the ring.
+     * two, minimum minCapacity). The one and only allocation;
+     * re-enabling with a different capacity restarts the ring.
      */
     void enable(std::uint32_t capacity);
     void disable();
@@ -194,13 +196,12 @@ class FlightRecorder
     static const char *stepName(Step s);
 
     /**
-     * Checkpoint hooks: the ring contents and write cursor resume so a
+     * Snapshot hook: the ring contents and write cursor resume so a
      * restored machine's post-mortem history is seamless across the
      * snapshot boundary. Restore re-allocates the ring at the
      * checkpointed capacity (overriding any enable() done before).
      */
-    void checkpointState(Serializer &ser) const;
-    void restoreState(Deserializer &des);
+    void snapshot(Archive &ar);
 
   private:
     std::vector<Record> _ring;

@@ -9,9 +9,10 @@
 #ifndef COHESION_SIM_RANDOM_HH
 #define COHESION_SIM_RANDOM_HH
 
-#include <array>
 #include <cstdint>
 #include <string_view>
+
+#include "sim/serialize.hh"
 
 namespace sim {
 
@@ -90,18 +91,12 @@ class Rng
         return lo + uniform() * (hi - lo);
     }
 
-    /** Raw generator state (checkpoint support). */
-    std::array<std::uint64_t, 4>
-    rawState() const
-    {
-        return {_state[0], _state[1], _state[2], _state[3]};
-    }
-
+    /** Snapshot hook: the raw generator state. */
     void
-    setRawState(const std::array<std::uint64_t, 4> &s)
+    snapshot(Archive &ar)
     {
-        for (unsigned i = 0; i < 4; ++i)
-            _state[i] = s[i];
+        for (std::uint64_t &w : _state)
+            ar(w);
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "sim/serialize.hh"
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -35,6 +36,85 @@ getU64(std::string_view in, std::size_t at)
 }
 
 } // namespace
+
+void
+Archive::bytes(void *p, std::size_t n)
+{
+    if (!_loading) {
+        _out.append(static_cast<const char *>(p), n);
+        return;
+    }
+    need(n, "raw bytes");
+    std::memcpy(p, _in.data() + _pos, n);
+    _pos += n;
+}
+
+void
+Archive::tag(std::string_view name)
+{
+    std::uint64_t n = name.size();
+    (*this)(n);
+    if (!_loading) {
+        _out.append(name);
+        return;
+    }
+    need(n, "section tag");
+    std::string_view got = _in.substr(_pos, n);
+    _pos += n;
+    if (got != name) {
+        throw SnapshotError("snapshot section mismatch: expected \"" +
+                            std::string(name) + "\", found \"" +
+                            std::string(got) + "\"");
+    }
+}
+
+void
+Archive::put(std::uint64_t v)
+{
+    putU64(_out, v);
+}
+
+std::uint64_t
+Archive::get()
+{
+    need(8, "integer");
+    std::uint64_t v = getU64(_in, _pos);
+    _pos += 8;
+    return v;
+}
+
+void
+Archive::need(std::size_t n, const char *what)
+{
+    if (_in.size() - _pos < n) {
+        throw SnapshotError(std::string("snapshot truncated while reading ") +
+                            what);
+    }
+}
+
+void
+Archive::outOfRange(std::uint64_t value, std::uint64_t max)
+{
+    throw SnapshotError("snapshot corrupt: value " + std::to_string(value) +
+                        " out of range (at most " + std::to_string(max) +
+                        ")");
+}
+
+void
+Archive::overrun(std::uint64_t n)
+{
+    throw SnapshotError("snapshot corrupt: list length " +
+                        std::to_string(n) + " overruns the payload");
+}
+
+void
+Archive::mismatch(const char *what, std::uint64_t got, std::uint64_t want)
+{
+    throw SnapshotError(std::string("snapshot ") + what +
+                        " does not match this machine (" +
+                        std::to_string(got) + " in the snapshot, " +
+                        std::to_string(want) + " here)");
+}
 
 std::string
 frameSnapshot(const std::string &payload)
@@ -80,13 +160,12 @@ unframeSnapshot(std::string_view file_bytes)
 }
 
 void
-writeSnapshotFile(const std::string &path, const std::string &payload)
+writeSnapshotFile(const std::string &path, const std::string &bytes)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         throw SnapshotError("cannot write snapshot " + path);
-    std::string framed = frameSnapshot(payload);
-    out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.flush();
     if (!out)
         throw SnapshotError("short write on snapshot " + path);
@@ -102,7 +181,7 @@ readSnapshotFile(const std::string &path)
     buf << in.rdbuf();
     if (in.bad())
         throw SnapshotError("read error on snapshot " + path);
-    return unframeSnapshot(buf.str());
+    return buf.str();
 }
 
 } // namespace sim

@@ -1,16 +1,17 @@
 /**
  * @file
  * Checkpoint serialization core. A machine snapshot is a flat binary
- * payload built by a Serializer and re-read by a Deserializer, wrapped
- * on disk in the versioned "CCKPT1" container (magic, version, payload
- * length, FNV-1a checksum). Components implement
+ * payload wrapped in the versioned "CCKPT1" container (magic, version,
+ * payload length, FNV-1a checksum). Each stateful component has one
+ * hook,
  *
- *     void checkpointState(sim::Serializer &) const;
- *     void restoreState(sim::Deserializer &);
+ *     void snapshot(sim::Archive &ar);
  *
- * hook pairs that write and read the exact same field sequence;
- * section tags give corrupt or mismatched snapshots a named failure
- * point instead of a silent misparse.
+ * that lists its fields once: checkpoint runs it over a writing
+ * Archive and restore over a reading one, so both directions walk the
+ * same field sequence by construction. Section tags give mismatched
+ * snapshots a named failure point instead of a silent misparse, and
+ * the reader range-checks every field it stores.
  *
  * Snapshots are only taken at quiescent points (event queue drained,
  * no in-flight protocol transactions), so no type-erased event
@@ -26,12 +27,14 @@
 #ifndef COHESION_SIM_SERIALIZE_HH
 #define COHESION_SIM_SERIALIZE_HH
 
+#include <array>
 #include <bit>
 #include <cstdint>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace sim {
 
@@ -55,152 +58,147 @@ snapshotChecksum(std::string_view bytes)
     return h;
 }
 
-/** Appends little-endian primitives to a growing payload buffer. */
-class Serializer
+/**
+ * One snapshot pass, in either direction: a writer (default-built)
+ * appends each field to payload(); a reader (built over a payload)
+ * overwrites each field from it. Every field travels as one
+ * little-endian u64, except bytes() (raw) and tag() (u64 length, then
+ * the name). The reader checks each value against what its field can
+ * hold before it is stored, so a corrupt snapshot fails here with a
+ * SnapshotError instead of reaching an allocation or an array index.
+ */
+class Archive
 {
   public:
+    /** A writer. */
+    Archive() = default;
+
+    /** A reader over @p payload, which must outlive the archive. */
+    explicit Archive(std::string_view payload)
+        : _in(payload), _loading(true)
+    {}
+
+    /** True for a reader. Hooks branch on it only to rebuild derived
+     *  structures (indexes, maps, allocations) from what was read. */
+    bool loading() const { return _loading; }
+
+    /** The bytes a writer has produced. */
+    const std::string &payload() const { return _out; }
+
+    /** True once a reader has consumed its whole payload. */
+    bool atEnd() const { return _pos == _in.size(); }
+
+    /** One field: an unsigned integer, bool, enum or double is one
+     *  word (doubles bit-cast; a reader rejects a value the field's
+     *  type cannot hold); a std::array is its elements in order; any
+     *  other object runs its own snapshot() hook. */
+    template <typename T>
     void
-    u64(std::uint64_t v)
+    operator()(T &field)
     {
-        char b[8];
-        for (unsigned i = 0; i < 8; ++i)
-            b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-        _buf.append(b, 8);
+        if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+            if (_loading)
+                field = fromWord<T>(get());
+            else
+                put(toWord(field));
+        } else {
+            field.snapshot(*this);
+        }
     }
 
-    void u32(std::uint32_t v) { u64(v); }
-    void u8(std::uint8_t v) { u64(v); }
-    void b(bool v) { u64(v ? 1 : 0); }
-
+    template <typename T, std::size_t N>
     void
-    f64(double v)
+    operator()(std::array<T, N> &fields)
     {
-        u64(std::bit_cast<std::uint64_t>(v));
+        for (T &f : fields)
+            (*this)(f);
     }
 
+    /** A fact of this machine's shape the snapshot must share: a
+     *  writer writes @p value, a reader demands it. */
+    template <typename T>
     void
-    bytes(const void *p, std::size_t n)
+    expect(const T &value, const char *what)
     {
-        _buf.append(static_cast<const char *>(p), n);
+        std::uint64_t want = toWord(value);
+        if (!_loading)
+            put(want);
+        else if (std::uint64_t got = get(); got != want)
+            mismatch(what, got, want);
     }
 
+    /** A list length. Every element takes at least one word, so a
+     *  reader rejects a count the rest of the payload cannot hold
+     *  before anything is allocated for it. */
+    template <typename T>
     void
-    str(std::string_view s)
+    count(T &n)
     {
-        u64(s.size());
-        _buf.append(s.data(), s.size());
+        (*this)(n);
+        if (_loading && n > (_in.size() - _pos) / 8)
+            overrun(n);
     }
 
-    /** Named section marker; Deserializer::tag verifies it. */
-    void tag(std::string_view name) { str(name); }
+    /** A field whose valid values are [0, @p limit): an enum, or an
+     *  index into a fixed table. */
+    template <typename T>
+    void
+    below(T &field, std::uint64_t limit)
+    {
+        (*this)(field);
+        if (_loading && toWord(field) >= limit)
+            outOfRange(toWord(field), limit - 1);
+    }
 
-    const std::string &blob() const { return _buf; }
-    std::string take() { return std::move(_buf); }
+    /** @p n raw bytes at @p p. */
+    void bytes(void *p, std::size_t n);
+
+    /** A named section marker; a reader demands the same name. */
+    void tag(std::string_view name);
 
   private:
-    std::string _buf;
-};
-
-/** Bounds-checked reader over a snapshot payload. */
-class Deserializer
-{
-  public:
-    explicit Deserializer(std::string_view data) : _data(data) {}
-
-    std::uint64_t
-    u64()
+    template <typename T>
+    static std::uint64_t
+    toWord(T v)
     {
-        need(8, "integer");
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(_data[_pos + i]))
-                 << (8 * i);
-        }
-        _pos += 8;
-        return v;
+        if constexpr (std::is_same_v<T, double>)
+            return std::bit_cast<std::uint64_t>(v);
+        else
+            return static_cast<std::uint64_t>(v);
     }
 
-    std::uint32_t
-    u32()
+    template <typename T>
+    static T
+    fromWord(std::uint64_t w)
     {
-        std::uint64_t v = u64();
-        if (v > 0xFFFFFFFFULL)
-            fail("32-bit field out of range");
-        return static_cast<std::uint32_t>(v);
-    }
-
-    std::uint8_t
-    u8()
-    {
-        std::uint64_t v = u64();
-        if (v > 0xFF)
-            fail("8-bit field out of range");
-        return static_cast<std::uint8_t>(v);
-    }
-
-    bool
-    b()
-    {
-        std::uint64_t v = u64();
-        if (v > 1)
-            fail("boolean field out of range");
-        return v != 0;
-    }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    void
-    bytes(void *p, std::size_t n)
-    {
-        need(n, "raw bytes");
-        std::memcpy(p, _data.data() + _pos, n);
-        _pos += n;
-    }
-
-    std::string
-    str()
-    {
-        std::uint64_t n = u64();
-        need(n, "string body");
-        std::string s(_data.substr(_pos, n));
-        _pos += n;
-        return s;
-    }
-
-    /** Consume a section marker written by Serializer::tag. */
-    void
-    tag(std::string_view name)
-    {
-        std::string got = str();
-        if (got != name) {
-            throw SnapshotError("snapshot section mismatch: expected \"" +
-                                std::string(name) + "\", found \"" + got +
-                                "\"");
+        if constexpr (std::is_same_v<T, double>) {
+            return std::bit_cast<double>(w);
+        } else {
+            using U = typename std::conditional_t<std::is_enum_v<T>,
+                                                  std::underlying_type<T>,
+                                                  std::type_identity<T>>::type;
+            static_assert(std::is_unsigned_v<U>,
+                          "snapshot fields are unsigned");
+            if (w > std::numeric_limits<U>::max())
+                outOfRange(w, std::numeric_limits<U>::max());
+            return static_cast<T>(w);
         }
     }
 
-    bool atEnd() const { return _pos == _data.size(); }
-    std::size_t pos() const { return _pos; }
+    void put(std::uint64_t v);
+    std::uint64_t get();
+    void need(std::size_t n, const char *what);
 
-  private:
-    void
-    need(std::size_t n, const char *what)
-    {
-        if (_data.size() - _pos < n) {
-            throw SnapshotError(
-                std::string("snapshot truncated while reading ") + what);
-        }
-    }
+    [[noreturn]] static void outOfRange(std::uint64_t value,
+                                        std::uint64_t max);
+    [[noreturn]] static void overrun(std::uint64_t n);
+    [[noreturn]] static void mismatch(const char *what, std::uint64_t got,
+                                      std::uint64_t want);
 
-    [[noreturn]] void
-    fail(const char *what)
-    {
-        throw SnapshotError(std::string("snapshot corrupt: ") + what);
-    }
-
-    std::string_view _data;
+    std::string _out;
+    std::string_view _in;
     std::size_t _pos = 0;
+    bool _loading = false;
 };
 
 /** Wrap @p payload in the CCKPT1 container (in memory). */
@@ -209,10 +207,10 @@ std::string frameSnapshot(const std::string &payload);
 /** Unwrap a CCKPT1 container; throws SnapshotError on any damage. */
 std::string unframeSnapshot(std::string_view file_bytes);
 
-/** Write @p payload to @p path inside the CCKPT1 container. */
-void writeSnapshotFile(const std::string &path, const std::string &payload);
+/** Write the framed snapshot @p bytes to @p path as they are. */
+void writeSnapshotFile(const std::string &path, const std::string &bytes);
 
-/** Read and verify a CCKPT1 file; returns the payload. */
+/** The bytes of the snapshot file at @p path, still framed. */
 std::string readSnapshotFile(const std::string &path);
 
 } // namespace sim

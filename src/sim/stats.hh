@@ -30,8 +30,7 @@ class Counter
     void reset() { _value = 0; }
     std::uint64_t value() const { return _value; }
 
-    void checkpointState(Serializer &ser) const { ser.u64(_value); }
-    void restoreState(Deserializer &des) { _value = des.u64(); }
+    void snapshot(Archive &ar) { ar(_value); }
 
   private:
     std::uint64_t _value = 0;
@@ -121,31 +120,16 @@ class Distribution
     /** The reservoir and its LCG serialize too: percentile columns in
      *  stat exports must be byte-identical after a restore. */
     void
-    checkpointState(Serializer &ser) const
+    snapshot(Archive &ar)
     {
-        ser.u64(_count);
-        ser.f64(_sum);
-        ser.f64(_min);
-        ser.f64(_max);
-        ser.f64(_mean);
-        ser.f64(_m2);
-        ser.u64(_lcg);
-        for (double v : _reservoir)
-            ser.f64(v);
-    }
-
-    void
-    restoreState(Deserializer &des)
-    {
-        _count = des.u64();
-        _sum = des.f64();
-        _min = des.f64();
-        _max = des.f64();
-        _mean = des.f64();
-        _m2 = des.f64();
-        _lcg = des.u64();
-        for (double &v : _reservoir)
-            v = des.f64();
+        ar(_count);
+        ar(_sum);
+        ar(_min);
+        ar(_max);
+        ar(_mean);
+        ar(_m2);
+        ar(_lcg);
+        ar(_reservoir);
     }
 
   private:
@@ -277,25 +261,13 @@ class Histogram
     double p99() const { return percentile(99); }
 
     void
-    checkpointState(Serializer &ser) const
+    snapshot(Archive &ar)
     {
-        for (std::uint64_t b : _buckets)
-            ser.u64(b);
-        ser.u64(_count);
-        ser.u64(_sum);
-        ser.u64(_min);
-        ser.u64(_max);
-    }
-
-    void
-    restoreState(Deserializer &des)
-    {
-        for (std::uint64_t &b : _buckets)
-            b = des.u64();
-        _count = des.u64();
-        _sum = des.u64();
-        _min = des.u64();
-        _max = des.u64();
+        ar(_buckets);
+        ar(_count);
+        ar(_sum);
+        ar(_min);
+        ar(_max);
     }
 
   private:
@@ -325,8 +297,7 @@ class TimeSampler
     std::uint64_t samples() const { return _dist.count(); }
     void reset() { _dist.reset(); }
 
-    void checkpointState(Serializer &ser) const { _dist.checkpointState(ser); }
-    void restoreState(Deserializer &des) { _dist.restoreState(des); }
+    void snapshot(Archive &ar) { ar(_dist); }
 
   private:
     std::uint64_t _period;

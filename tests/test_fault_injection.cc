@@ -146,34 +146,33 @@ TEST(FaultInjection, PendingWritebackSetIsBounded)
     EXPECT_FALSE(set.contains(7));
 
     // Serialized oldest first; a restored set evicts in the same order.
-    sim::Serializer ser;
-    set.checkpointState(ser);
-    std::string blob = ser.take();
-    sim::Deserializer des(blob);
-    EXPECT_EQ(des.u64(), 4u);
-    std::vector<std::uint32_t> order;
-    for (unsigned i = 0; i < 4; ++i)
-        order.push_back(des.u32());
-    EXPECT_EQ(order, std::vector<std::uint32_t>({9, 2, 1, 8}));
+    auto idsOf = [](const std::string &blob) {
+        sim::Archive des(blob);
+        std::uint64_t n = 0;
+        des(n);
+        std::vector<std::uint32_t> ids(n);
+        for (std::uint32_t &id : ids)
+            des(id);
+        return ids;
+    };
+    sim::Archive ser;
+    set.snapshot(ser);
+    std::string blob = ser.payload();
+    EXPECT_EQ(idsOf(blob), std::vector<std::uint32_t>({9, 2, 1, 8}));
 
     arch::BoundedIdSet restored(4);
-    sim::Deserializer again(blob);
-    restored.restoreState(again);
+    sim::Archive again(blob);
+    restored.snapshot(again);
     EXPECT_EQ(restored.evictions().value(), 8u);
     EXPECT_TRUE(restored.erase(2));
     EXPECT_TRUE(restored.insert(11));
     EXPECT_TRUE(restored.insert(12));
     EXPECT_FALSE(restored.contains(9));
     EXPECT_TRUE(restored.contains(1));
-    sim::Serializer ser2;
-    restored.checkpointState(ser2);
-    std::string blob2 = ser2.take();
-    sim::Deserializer des2(blob2);
-    EXPECT_EQ(des2.u64(), 4u);
-    order.clear();
-    for (unsigned i = 0; i < 4; ++i)
-        order.push_back(des2.u32());
-    EXPECT_EQ(order, std::vector<std::uint32_t>({1, 8, 11, 12}));
+    sim::Archive ser2;
+    restored.snapshot(ser2);
+    EXPECT_EQ(idsOf(ser2.payload()),
+              std::vector<std::uint32_t>({1, 8, 11, 12}));
 }
 
 /** A message whose drop-retransmit budget is exhausted used to be

@@ -274,16 +274,16 @@ churnAgainstModel(const DirectoryConfig &cfg, unsigned lines,
 
     // A restored directory walks and victimizes in the same order and
     // writes the same bytes.
-    sim::Serializer ser;
-    d.checkpointState(ser);
-    std::string blob = ser.take();
+    sim::Archive ser;
+    d.snapshot(ser);
+    const std::string &blob = ser.payload();
     Directory r(cfg, 128);
-    sim::Deserializer des(blob);
-    r.restoreState(des);
+    sim::Archive des(blob);
+    r.snapshot(des);
     expectSameOrder(r, m);
-    sim::Serializer again;
-    r.checkpointState(again);
-    EXPECT_EQ(again.take(), blob);
+    sim::Archive again;
+    r.snapshot(again);
+    EXPECT_EQ(again.payload(), blob);
 }
 
 TEST(DirectoryOrder, FullyAssociative512MatchesListModel)
